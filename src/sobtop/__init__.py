@@ -33,7 +33,6 @@ from .geometry import (
     Piece,
     StructuredSingularSet,
     TriangulatedSphere,
-    build_cubication,
     distance_to_set,
     standard_disk_boundaries,
     unit_box,

@@ -3,7 +3,7 @@
 import numpy as np
 
 from .errors import UnknownBuiltin
-from .fields import GridField, SampledSphereMap
+from .fields import GridField, SampledSphereMap, grid_dims
 from .geometry import StructuredSingularSet, TriangulatedSphere, unit_box
 from .util import bump, node_mesh, smoothstep
 
@@ -17,8 +17,7 @@ def builtin_field(name, dims, box=None):
     if name == "hopf":
         refinement = int(dims if np.isscalar(dims) else dims[0])
         return hopf_fibration(refinement)
-    if np.isscalar(dims):
-        dims = (int(dims), int(dims))
+    dims = grid_dims((dims, dims) if np.isscalar(dims) else dims)
     m = len(dims)
     if box is None:
         box = unit_box(m)

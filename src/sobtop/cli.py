@@ -9,9 +9,7 @@ identical configuration and seed give byte-identical output.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, field, fields
 
 from . import builtins as builtin_fields
 from .detectors import maximal_function_detector
@@ -20,15 +18,19 @@ from .fieldfile import read_field, write_field
 from .fields import fractional_seminorm, mean_oscillation, sobolev_norm
 from .geometry import standard_disk_boundaries
 from .hopf import hopf_linking, hopf_whitehead
-from .invariants import cell_degree_sweep, extendability_oracle, test_form_battery
+from .invariants import cell_degree_sweep, extendability_oracle
 from .pipeline import PipelineParams, run_pipeline
 
 
 @dataclass
 class ExperimentConfig:
+    """Every CLI option and its default; ``build_parser`` makes one flag per
+    field after ``command``."""
+
     command: str
-    input: str = "radial"
-    target: str = "s1"
+    input: str = field(default=None, metadata={
+        "help": "builtin name or .sfld path (default: hopf for the hopf command, radial otherwise)"})
+    target: str = field(default="s1", metadata={"choices": ("s1", "s2")})
     dims: int = 128
     p: float = 1.5
     k: int = 1
@@ -44,21 +46,22 @@ class ExperimentConfig:
     disks: int = 64
     seed: int = 0
     out: str = None
-    format: str = "json"
+    format: str = field(default="json", metadata={"choices": ("json", "csv")})
+
+    def __post_init__(self):
+        if self.input is None:
+            self.input = "hopf" if self.command == "hopf" else "radial"
+
+    def pipeline_params(self):
+        return PipelineParams(
+            eta=self.eta, k=self.k, p=self.p, rho=self.rho, mu=self.mu, tau=self.tau,
+            theta=self.theta, iota=self.iota, alpha=self.alpha, seed=self.seed,
+        )
 
     def validate(self):
-        if not (0 < self.rho < 0.5):
-            raise ValidationError("rho must be in (0, 1/2)")
-        if self.tau is not None and not (0 < self.tau < self.mu < 0.5):
-            raise ValidationError("need 0 < tau < mu < 1/2")
-        if not (1 <= self.p < np.inf):
-            raise ValidationError("p must be in [1, inf)")
-        if self.command == "pipeline" and self.k * self.p >= 2:
-            raise ValidationError("pipeline needs kp < m (= 2 for builtin planar fields)")
-        if self.format not in ("json", "csv"):
-            raise ValidationError("format must be json or csv")
-        if self.dims < 4:
-            raise ValidationError("dims must be >= 4")
+        """Run PipelineParams' checks of p, rho, mu and tau for every command;
+        the grid, target and kp are checked against the field once it loads."""
+        self.pipeline_params()
 
 
 def _load(cfg):
@@ -126,7 +129,9 @@ def cmd_detect(cfg):
 
 
 def cmd_hopf(cfg):
-    v = builtin_fields.hopf_fibration(cfg.refinement) if cfg.input in ("hopf", "") else _load(cfg)
+    if cfg.input != "hopf":
+        raise ValidationError(f"hopf needs a sample of S^3 (the builtin 'hopf'), not {cfg.input!r}")
+    v = builtin_fields.hopf_fibration(cfg.refinement)
     rep = _report_base(cfg)
     rep["whitehead"] = hopf_whitehead(v)
     rep["linking"] = hopf_linking(v)
@@ -134,12 +139,7 @@ def cmd_hopf(cfg):
 
 
 def cmd_pipeline(cfg):
-    u = _load(cfg)
-    params = PipelineParams(
-        eta=cfg.eta, k=cfg.k, p=cfg.p, rho=cfg.rho, mu=cfg.mu, tau=cfg.tau,
-        theta=cfg.theta, iota=cfg.iota, alpha=cfg.alpha, seed=cfg.seed,
-    )
-    out = run_pipeline(u, params)
+    out = run_pipeline(_load(cfg), cfg.pipeline_params())
     rep = _report_base(cfg)
     rep.update(out.to_dict())
     rep["_field"] = out.extra.get("field")
@@ -205,25 +205,9 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--input", default="radial", help="builtin name or .sfld path")
-        sp.add_argument("--target", default="s1", choices=("s1", "s2"))
-        sp.add_argument("--dims", type=int, default=128)
-        sp.add_argument("--p", type=float, default=1.5)
-        sp.add_argument("--k", type=int, default=1)
-        sp.add_argument("--eta", type=float, default=0.25)
-        sp.add_argument("--rho", type=float, default=0.25)
-        sp.add_argument("--alpha", type=float, default=None)
-        sp.add_argument("--iota", type=float, default=0.2)
-        sp.add_argument("--mu", type=float, default=0.25)
-        sp.add_argument("--tau", type=float, default=None)
-        sp.add_argument("--theta", type=float, default=1.5)
-        sp.add_argument("--s", type=float, default=0.5)
-        sp.add_argument("--refinement", type=int, default=4)
-        sp.add_argument("--disks", type=int, default=64)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--format", default="json", choices=("json", "csv"))
-        sp.add_argument("--dump-field", default=None, help="write the pipeline output field as SFLD")
+        for f in fields(ExperimentConfig)[1:]:
+            sp.add_argument(f"--{f.name}", type=f.type, default=f.default, **f.metadata)
+        sp.add_argument("--dump-field", help="write the pipeline output field as SFLD")
     return ap
 
 
@@ -233,10 +217,6 @@ def main(argv=None):
     cfg = ExperimentConfig(**{k: v for k, v in vars(ns).items() if k != "dump_field"})
     try:
         cfg.validate()
-    except ValidationError as e:
-        print(f"validation error: {e}", file=sys.stderr)
-        return 2
-    try:
         report = _COMMANDS[cfg.command](cfg)
     except StageError as e:
         print(f"computational error in stage '{e.stage}': {e.cause!r}", file=sys.stderr)
@@ -247,9 +227,9 @@ def main(argv=None):
     except (ComputationError, SobtopError) as e:
         print(f"computational error: {e}", file=sys.stderr)
         return 3
-    field = report.pop("_field", None)
-    if getattr(ns, "dump_field", None) and field is not None:
-        write_field(ns.dump_field, field)
+    dumped = report.pop("_field", None)
+    if ns.dump_field and dumped is not None:
+        write_field(ns.dump_field, dumped)
     text = render(report, cfg.format)
     if cfg.out:
         with open(cfg.out, "w") as fh:

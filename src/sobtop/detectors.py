@@ -26,6 +26,9 @@ class DetectorField:
     def __post_init__(self):
         if np.any(self.w < 0):
             raise ValueError("detector must be nonnegative")
+        finite = np.isfinite(self.w)
+        # interp reads the capped values and the +inf indicator as two channels
+        self._channels = np.stack([np.where(finite, self.w, 0.0), (~finite).astype(float)], axis=-1)
         self.integral = self._integrate()
         if not np.isfinite(self.integral):
             raise NonSummable("detector has infinite integral off the singular set")
@@ -46,10 +49,7 @@ class DetectorField:
 
     def interp(self, points):
         """Multilinear interpolation; any +inf corner with positive weight gives +inf."""
-        finite = np.isfinite(self.w)
-        capped = np.where(finite, self.w, 0.0)
-        base = multilinear(capped, self.box.lo, self.box.hi, self.dims, points)
-        touch = multilinear((~finite).astype(float), self.box.lo, self.box.hi, self.dims, points)
+        base, touch = np.moveaxis(multilinear(self._channels, self.box.lo, self.box.hi, self.dims, points), -1, 0)
         return np.where(touch > 1e-12, np.inf, base)
 
 

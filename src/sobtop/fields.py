@@ -16,6 +16,7 @@ from .errors import (
     GridTooCoarse,
     NonzeroHolonomy,
     OutsideTubularNeighborhood,
+    ValidationError,
 )
 from .geometry import Box, distance_to_set
 from .util import (
@@ -24,7 +25,16 @@ from .util import (
     node_mesh,
     pairwise_mean_abs_diff,
     trapezoid_weights,
+    wrap_angle,
 )
+
+
+def grid_dims(dims):
+    """``dims`` as a tuple of ints; raises GridTooCoarse below 4 nodes per axis."""
+    dims = tuple(int(d) for d in dims)
+    if any(d < 4 for d in dims):
+        raise GridTooCoarse(f"dims {dims} below the minimum of 4 per axis")
+    return dims
 
 
 @dataclass
@@ -36,14 +46,14 @@ class GridField:
     singular_mask: object = None  # StructuredSingularSet or None
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if any(d < 4 for d in self.dims):
-            raise GridTooCoarse(f"dims {self.dims} below the minimum of 4 per axis")
+        self.dims = grid_dims(self.dims)
         if self.values.shape[: len(self.dims)] != self.dims:
             raise ValueError("values shape disagrees with dims")
         if self.values.ndim == len(self.dims):
             self.values = self.values[..., None]
         if self.target is not None:
+            if self.nu != self.target + 1:
+                raise ValidationError(f"target S^{self.target} needs {self.target + 1} components, got {self.nu}")
             norms = np.linalg.norm(self.values, axis=-1)
             bad = np.abs(norms - 1.0) > 1e-9
             unmasked = ~self.excluded_nodes()
@@ -383,52 +393,51 @@ def circle_lift(u):
     by atan2 at the lowest-index unmasked node of each component."""
     if u.target != 1 or u.nu != 2:
         raise ValueError("circle_lift needs an S^1-valued field")
-    phase = np.arctan2(u.values[..., 1], u.values[..., 0])
-    ok = ~u.excluded_nodes()
-    theta = np.full(u.dims, np.nan)
-    visited = np.zeros(u.dims, dtype=bool)
-    flat_ok = np.argwhere(ok)
-    order = {tuple(ix): k for k, ix in enumerate(flat_ok)}
-    for root in map(tuple, flat_ok):
+    theta, _ = unwrap_phase(np.arctan2(u.values[..., 1], u.values[..., 0]), ~u.excluded_nodes())
+    return u.with_values(theta[..., None], target=None)
+
+
+def unwrap_phase(phase, ok):
+    """Depth-first unwrap of a grid phase over the nodes where ``ok``, each
+    connected component anchored at its lowest-index node.  Returns the lifted
+    phase (nan off ``ok``) and the number of components; raises
+    NonzeroHolonomy if an adjacent pair of ``ok`` nodes still jumps by pi."""
+    dims = phase.shape
+    theta = np.full(dims, np.nan)
+    visited = np.zeros(dims, dtype=bool)
+    components = 0
+    for root in map(tuple, np.argwhere(ok)):
         if visited[root]:
             continue
+        components += 1
         theta[root] = phase[root]
         visited[root] = True
         stack = [root]
         while stack:
             cur = stack.pop()
-            for axis in range(u.m):
+            for axis in range(len(dims)):
                 for step in (-1, 1):
                     nxt = list(cur)
                     nxt[axis] += step
-                    if not (0 <= nxt[axis] < u.dims[axis]):
+                    if not (0 <= nxt[axis] < dims[axis]):
                         continue
                     nxt = tuple(nxt)
                     if visited[nxt] or not ok[nxt]:
                         continue
-                    d = _wrap(phase[nxt] - phase[cur])
-                    theta[nxt] = theta[cur] + d
+                    theta[nxt] = theta[cur] + wrap_angle(phase[nxt] - phase[cur])
                     visited[nxt] = True
                     stack.append(nxt)
-    # consistency: every unmasked adjacency must have a sub-pi jump
-    for axis in range(u.m):
-        a = [slice(None)] * u.m
-        b = [slice(None)] * u.m
+    for axis in range(len(dims)):
+        a = [slice(None)] * len(dims)
+        b = [slice(None)] * len(dims)
         a[axis] = slice(None, -1)
         b[axis] = slice(1, None)
         both = ok[tuple(a)] & ok[tuple(b)]
         jump = np.abs(theta[tuple(b)] - theta[tuple(a)])
         bad = both & (jump >= np.pi - 1e-9)
         if np.any(bad):
-            ix = tuple(np.argwhere(bad)[0])
-            raise NonzeroHolonomy(loop=(ix, axis))
-    del order
-    lifted = u.with_values(theta[..., None], target=None)
-    return lifted
-
-
-def _wrap(d):
-    return (d + np.pi) % (2.0 * np.pi) - np.pi
+            raise NonzeroHolonomy(loop=(tuple(np.argwhere(bad)[0]), axis))
+    return theta, components
 
 
 # ---------------------------------------------------------------------------

@@ -234,10 +234,6 @@ class Cubication:
         return StructuredSingularSet(rank=rank, pieces=tuple(self.face_as_piece(f) for f in faces))
 
 
-def build_cubication(box, eta):
-    return Cubication(box, eta)
-
-
 # ---------------------------------------------------------------------------
 # Triangulated spheres
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from .detectors import fuglede_check
 from .errors import InsufficientAdmissibleDisks, Undersampled
 from .fields import SampledSphereMap, finite_difference, restrict_to_curve
 from .geometry import solid_angles
-from .util import bump
+from .util import bump, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +97,7 @@ def winding_degree(samples, residual_tol=0.05):
     if len(vals) < 64:
         raise Undersampled(f"{len(vals)} samples < 64")
     ang = np.arctan2(vals[:, 1], vals[:, 0])
-    d = np.diff(np.concatenate([ang, ang[:1]]))
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
+    d = wrap_angle(np.diff(np.concatenate([ang, ang[:1]])))
     if np.any(np.abs(d) >= np.pi - 1e-9):
         raise Undersampled("angular jump >= pi between consecutive samples")
     total = float(np.sum(d)) / (2.0 * np.pi)
@@ -137,6 +136,8 @@ def hurewicz_degree(u, gamma):
 
 def _jacobian_flux(u):
     """Components j such that u#omega = (1/|S^n|) * sum_i j_i dx^i-hat (m = n+1)."""
+    if u.target is None or u.m != u.nu:
+        raise ValueError("need an S^{m-1}-valued field on an m-box")
     du = finite_difference(u, 1)
     d = du.data  # (*dims, m, nu)
     if u.m == 2:
@@ -155,17 +156,7 @@ def _jacobian_flux(u):
 
 def jacobian_pairing(u, form):
     """<Jac u, alpha> = integral of u#omega_{S^n} wedge d(alpha), masked cells excluded."""
-    if u.target is None or u.m != u.nu:
-        raise ValueError("need an S^{m-1}-valued field on an m-box")
-    j, excluded = _jacobian_flux(u)
-    pts = u.nodes().reshape(-1, u.m)
-    g = form.grad(pts).reshape(u.dims + (u.m,))
-    if u.m == 2:
-        integrand = j[..., 0] * g[..., 1] - j[..., 1] * g[..., 0]
-    else:
-        integrand = np.einsum("...i,...i->...", j, g)
-    w = u.weights() * (~excluded)
-    return float(np.sum(integrand * w))
+    return jacobian_battery(u, [form])[0][0][1]
 
 
 def jacobian_battery(u, forms=None):
@@ -200,20 +191,16 @@ def _plaquette_windings(u):
     way), so such cells make the whole sweep Undersampled.
     """
     ang = np.arctan2(u.values[..., 1], u.values[..., 0])
-    d1 = _wrap(ang[1:, :-1] - ang[:-1, :-1])  # bottom edge, +x
-    d2 = _wrap(ang[1:, 1:] - ang[1:, :-1])  # right edge, +y
-    d3 = _wrap(ang[:-1, 1:] - ang[1:, 1:])  # top edge, -x
-    d4 = _wrap(ang[:-1, :-1] - ang[:-1, 1:])  # left edge, -y
+    d1 = wrap_angle(ang[1:, :-1] - ang[:-1, :-1])  # bottom edge, +x
+    d2 = wrap_angle(ang[1:, 1:] - ang[1:, :-1])  # right edge, +y
+    d3 = wrap_angle(ang[:-1, 1:] - ang[1:, 1:])  # top edge, -x
+    d4 = wrap_angle(ang[:-1, :-1] - ang[:-1, 1:])  # left edge, -y
     for d in (d1, d2, d3, d4):
         if np.any(np.abs(d) >= np.pi * (1.0 - 1e-9)):
             raise Undersampled("angular jump >= pi across a cell edge")
     total = (d1 + d2 + d3 + d4) / (2.0 * np.pi)
     wind = np.round(total).astype(int)
     return wind, float(np.max(np.abs(total - wind))) if total.size else 0.0
-
-
-def _wrap(d):
-    return (d + np.pi) % (2.0 * np.pi) - np.pi
 
 
 def _cell_degrees_3d(u):
@@ -269,11 +256,11 @@ def cell_degree_sweep(u, forms=None, block_check=True):
         loc = tuple(float(np.mean(cell_centers[i][idx[:, i]])) for i in range(u.m))
         atoms.append((loc, deg))
     atoms.sort(key=lambda a: a[0])
-    pairings, vol_excl = jacobian_battery(u, forms) if u.m == u.nu else ([], 0.0)
-    residual = 0.0
-    if forms is None and u.m == u.nu:
-        forms = test_form_battery(u.box)
-    if pairings and forms is not None:
+    pairings, vol_excl, residual = [], 0.0, 0.0
+    if u.m == u.nu:
+        if forms is None:
+            forms = test_form_battery(u.box)
+        pairings, vol_excl = jacobian_battery(u, forms)
         for i, val in pairings:
             predicted = sum(d * float(forms[i](np.array([loc]))[0]) for loc, d in atoms)
             residual = max(residual, abs(val - predicted))
@@ -328,18 +315,15 @@ def extendability_oracle(u, disks, w, budget=None, min_admissible=8):
     all_zero = all(d == 0 for _, d in degrees)
     max_rel = 0.0
     tol = 0.0
+    pairing_ok = True
     if u.m == u.nu:
         forms = test_form_battery(u.box)
         pairings, _ = jacobian_battery(u, forms)
-        for (i, val), form in zip(pairings, forms):
+        for (_, val), form in zip(pairings, forms):
             t = max(1e-2, 5.0 * u.hmax) * form.grad_sup
             tol = max(tol, t)
             max_rel = max(max_rel, abs(val))
-        pairing_ok = all(
-            abs(val) <= max(1e-2, 5.0 * u.hmax) * forms[i].grad_sup for i, val in pairings
-        )
-    else:
-        pairing_ok = True
+            pairing_ok = pairing_ok and abs(val) <= t
     extendable = all_zero and pairing_ok
     atoms = [] if extendable else cell_degree_sweep(u).atoms
     return OracleVerdict(

@@ -21,6 +21,8 @@ from .errors import (
     NoRoot,
     PsiTooSteep,
     StageError,
+    Undersampled,
+    ValidationError,
 )
 from .fields import (
     GridField,
@@ -28,10 +30,11 @@ from .fields import (
     finite_difference,
     project_to_sphere,
     sobolev_distance,
+    unwrap_phase,
 )
 from .geometry import Cubication, StructuredSingularSet, distance_to_set
 from .invariants import cell_degree_sweep
-from .util import philox, ramp, smoothstep
+from .util import multilinear, philox, ramp
 
 
 # ---------------------------------------------------------------------------
@@ -335,43 +338,24 @@ class OpeningPiece:
     def hits(self, pts):
         return ((pts >= self.support_lo) & (pts <= self.support_hi)).all(axis=1)
 
-    def apply(self, pts, prefiltered=False):
-        if not prefiltered:
-            cand = self.hits(pts)
-            if not np.any(cand):
-                return pts
-            out = pts.copy()
-            out[cand] = self.apply(pts[cand], prefiltered=True)
-            return out
-        y = pts[:, self.ortho] - self.center[list(self.ortho)]
-        w = y + self.z
-        wn = np.max(np.abs(w), axis=1)
+    def apply(self, pts, zs=None):
+        """The piece with every translation in ``zs`` (default: its own z) at
+        once, shape (len(zs), len(pts), m).  Points outside the active set
+        (the face's cylinder, |y + z| < outer) come back bitwise."""
+        zs = self.z[None, :] if zs is None else zs
+        ortho = list(self.ortho)
+        w = (pts[:, ortho] - self.center[ortho])[None, :, :] + zs[:, None, :]
+        wn = np.max(np.abs(w), axis=2)
         active = wn < self.outer
         for ax in self.span:
             active &= np.abs(pts[:, ax] - self.center[ax]) <= self.face_halfwidth
-        if not np.any(active):
-            return pts
-        lam = ramp(wn[active], self.inner, self.outer)
-        newy = lam[:, None] * w[active] - self.z
-        out = pts.copy()
-        sub = out[active]
-        sub[:, self.ortho] = self.center[list(self.ortho)] + newy
-        out[active] = sub
-        return out
-
-    def apply_batched(self, pts, zs):
-        """Apply the piece with every translation in ``zs`` at once; returns
-        (len(zs), len(pts), m)."""
-        inface = np.ones(len(pts), dtype=bool)
-        for ax in self.span:
-            inface &= np.abs(pts[:, ax] - self.center[ax]) <= self.face_halfwidth
-        y = pts[:, self.ortho] - self.center[list(self.ortho)]
-        w = y[None, :, :] + zs[:, None, :]
-        wn = np.max(np.abs(w), axis=2)
-        lam = ramp(wn, self.inner, self.outer)
-        newy = np.where(inface[None, :, None], lam[..., None] * w - zs[:, None, :], y[None, :, :])
         out = np.broadcast_to(pts, (len(zs),) + pts.shape).copy()
-        out[:, :, self.ortho] = self.center[list(self.ortho)] + newy
+        if np.any(active):
+            lam = ramp(wn[active], self.inner, self.outer)
+            z = np.broadcast_to(zs[:, None, :], w.shape)[active]
+            sub = out[active]
+            sub[:, ortho] = self.center[ortho] + (lam[:, None] * w[active] - z)
+            out[active] = sub
         return out
 
 
@@ -380,11 +364,21 @@ class OpeningMap:
     pieces: list
 
     def apply(self, pts):
+        """Compose the pieces, the last one acting first.  Pieces whose support
+        misses the points' bounding box (widened by the largest outer radius,
+        the farthest a piece moves a point) are skipped."""
         out = np.asarray(pts, dtype=float).copy()
-        for piece in reversed(self.pieces):
-            cand = piece.hits(out)
+        if not self.pieces or len(out) == 0:
+            return out
+        slack = max(pc.outer for pc in self.pieces)
+        lo = out.min(axis=0) - slack
+        hi = out.max(axis=0) + slack
+        los = np.stack([pc.support_lo for pc in self.pieces])
+        his = np.stack([pc.support_hi for pc in self.pieces])
+        for i in np.nonzero(((los <= hi) & (his >= lo)).all(axis=1))[0][::-1]:
+            cand = self.pieces[i].hits(out)
             if np.any(cand):
-                out[cand] = piece.apply(out[cand], prefiltered=True)
+                out[cand] = self.pieces[i].apply(out[cand])[0]
         return out
 
 
@@ -434,10 +428,13 @@ def _compose(u, coord_map, rows=None):
     return u.with_values(vals.reshape(u.values.shape))
 
 
-def _detector_cost(w, pts):
-    vals = w.interp(pts)
-    vals = np.where(np.isfinite(vals), vals, 1e30)
-    return float(np.sum(vals))
+def _cheapest_translate(piece, cand, wpts, w, earlier=()):
+    """The translation in ``cand`` whose opened window ``wpts``, after the
+    ``earlier`` pieces, carries the least detector mass (+inf counted as 1e30)."""
+    block = OpeningMap(list(earlier)).apply(piece.apply(wpts, cand).reshape(-1, wpts.shape[1]))
+    vals = w.interp(block)
+    vals = np.where(np.isfinite(vals), vals, 1e30).reshape(len(cand), -1)
+    return cand[int(np.argmin(np.sum(vals, axis=1)))]
 
 
 def open_at_point(u, center, delta, w, samples=64, seed=0):
@@ -450,18 +447,13 @@ def open_at_point(u, center, delta, w, samples=64, seed=0):
     cand = rng.uniform(-delta, delta, size=(samples, u.m))
     nodes = u.nodes().reshape(-1, u.m)
     win = np.all(np.abs(nodes - center) <= 5.0 * delta, axis=1)
-    wpts = nodes[win]
-    best, best_cost = None, np.inf
-    for zk in cand:
-        piece = OpeningPiece(
-            center=center, span=(), ortho=tuple(range(u.m)),
-            inner=2.0 * delta, outer=3.0 * delta, z=zk,
-            face_halfwidth=0.0, z_radius=delta,
-        )
-        cost = _detector_cost(w, piece.apply(wpts.copy()))
-        if cost < best_cost - 1e-15:
-            best, best_cost = piece, cost
-    omap = OpeningMap(pieces=[best])
+    piece = OpeningPiece(
+        center=center, span=(), ortho=tuple(range(u.m)),
+        inner=2.0 * delta, outer=3.0 * delta, z=np.zeros(u.m),
+        face_halfwidth=0.0, z_radius=delta,
+    )
+    piece.z = _cheapest_translate(piece, cand, nodes[win], w)
+    omap = OpeningMap(pieces=[piece])
     return _compose(u, omap.apply), omap
 
 
@@ -505,26 +497,14 @@ def open_on_skeleton(u, cls, target="U", ell=1, w=None, seed=0):
             ortho = tuple(a for a in range(u.m) if a not in f.span)
             rng = philox(seed, 0x0FACE, j, *key)
             cand = rng.uniform(-zrad, zrad, size=(64, len(ortho)))
-            wrows = _support_rows(u, [c], [c], cub.radius + 2.0 * R)
-            wpts = nodes[wrows]
-            proto = OpeningPiece(
+            wpts = nodes[_support_rows(u, [c], [c], cub.radius + 2.0 * R)]
+            piece = OpeningPiece(
                 center=c, span=f.span, ortho=ortho,
                 inner=inner, outer=outer, z=np.zeros(len(ortho)),
                 face_halfwidth=cub.radius, z_radius=zrad,
             )
-            block = proto.apply_batched(wpts, cand).reshape(-1, u.m)
-            block = _apply_pieces_bboxed(pieces, block)
-            wvals = w.interp(block)
-            wvals = np.where(np.isfinite(wvals), wvals, 1e30).reshape(len(cand), -1)
-            costs = np.sum(wvals, axis=1)
-            zk = cand[int(np.argmin(costs))]
-            pieces.append(
-                OpeningPiece(
-                    center=c, span=f.span, ortho=ortho,
-                    inner=inner, outer=outer, z=zk,
-                    face_halfwidth=cub.radius, z_radius=zrad,
-                )
-            )
+            piece.z = _cheapest_translate(piece, cand, wpts, w, pieces)
+            pieces.append(piece)
     omap = OpeningMap(pieces=pieces)
     rows = _support_rows(
         u, [pc.support_lo for pc in pieces], [pc.support_hi for pc in pieces],
@@ -551,23 +531,6 @@ def open_on_skeleton(u, cls, target="U", ell=1, w=None, seed=0):
         if denom > 1e-12:
             sob_constants[key] = numer / denom
     return out, omap, sob_constants
-
-
-def _apply_pieces_bboxed(pieces, pts):
-    """Apply earlier pieces to a point block, skipping pieces whose support
-    cannot intersect the block's bounding box."""
-    if not pieces:
-        return pts
-    slack = max(pc.outer for pc in pieces)
-    lo = pts.min(axis=0) - slack
-    hi = pts.max(axis=0) + slack
-    los = np.stack([pc.support_lo for pc in pieces])
-    his = np.stack([pc.support_hi for pc in pieces])
-    overlap = np.nonzero(((los <= hi) & (his >= lo)).all(axis=1))[0]
-    out = pts
-    for i in overlap[::-1]:
-        out = pieces[i].apply(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +602,22 @@ class _RadialPiece:
         return out
 
 
+def _compose_radial(u, pieces):
+    """Compose u with the radial pieces applied in order; a piece moves only
+    points within scale * rho of its centre."""
+
+    def radial_map(pts):
+        for pc in pieces:
+            pts = pc.apply(pts)
+        return pts
+
+    half = [pc.scale * pc.profile.rho for pc in pieces]
+    rows = _support_rows(
+        u, [pc.center - r for pc, r in zip(pieces, half)], [pc.center + r for pc, r in zip(pieces, half)], 0.0
+    )
+    return _compose(u, radial_map, rows=rows)
+
+
 def apply_thickening(u, cls, ell=None, mu=0.25, k=1, p=1.5, profile=None):
     """Compose with the per-cube radial thickening toward the dual skeleton of
     U^ell; for ell = m-1 the dual cells are the U-cube centers."""
@@ -658,16 +637,7 @@ def apply_thickening(u, cls, ell=None, mu=0.25, k=1, p=1.5, profile=None):
         _RadialPiece(center=c, scale=cls.cubication.radius, profile=profile, norm="inf")
         for c in centers
     ]
-
-    def cmap(pts):
-        out = pts.copy()
-        for pc in pieces:
-            out = pc.apply(out)
-        return out
-
-    R0 = cls.cubication.radius
-    rows = _support_rows(u, [c - R0 for c in centers], [c + R0 for c in centers], 0.0)
-    out = _compose(u, cmap, rows=rows)
+    out = _compose_radial(u, pieces)
     # the thickened map is singular exactly on Z^{ell*}; original singular
     # points are absorbed (their neighborhoods now carry shell values)
     mask = StructuredSingularSet.points([tuple(c) for c in centers])
@@ -724,14 +694,10 @@ def _repair_zero_atom(u, vals, nodes, center, r_out):
     ring = (sinf >= r_out / 2.0) & (sinf <= r_out)
     if np.sum(ring) < 8:
         raise LiftFailure("annulus too thin on this grid")
-    sub = GridField(
-        u.box,
-        u.dims,
-        np.where(ring[..., None], vals, np.array([1.0, 0.0])),
-        target=1,
-        singular_mask=None,
-    )
-    theta_ring = _lift_on_ring(sub, ring)
+    theta_ring, components = unwrap_phase(np.arctan2(vals[..., 1], vals[..., 0]), ring)
+    if components > 1:
+        raise LiftFailure("annulus disconnected on this grid")
+    theta_ring = np.where(ring, theta_ring, 0.0)
     r_ref = 0.75 * r_out
     inner = sinf < r_ref
     theta_bar = float(np.mean(theta_ring[ring]))
@@ -739,53 +705,11 @@ def _repair_zero_atom(u, vals, nodes, center, r_out):
     si = np.max(np.abs(y), axis=-1)
     si_safe = np.maximum(si, 1e-30)
     proj = center + y * (r_ref / si_safe)[:, None]
-    from .util import multilinear
-
     theta_b = multilinear(theta_ring, u.box.lo, u.box.hi, u.dims, proj)
     theta_new = theta_bar + (si / r_ref) * (theta_b - theta_bar)
     vals = vals.copy()
     vals[inner] = np.stack([np.cos(theta_new), np.sin(theta_new)], axis=-1)
     return vals
-
-
-def _lift_on_ring(field, ring):
-    """BFS phase unwrap restricted to ring nodes; winding-0 rings lift consistently."""
-    phase = np.arctan2(field.values[..., 1], field.values[..., 0])
-    theta = np.where(ring, phase, 0.0)
-    visited = np.zeros(field.dims, dtype=bool)
-    idx = np.argwhere(ring)
-    start = tuple(idx[0])
-    theta[start] = phase[start]
-    visited[start] = True
-    stack = [start]
-    while stack:
-        cur = stack.pop()
-        for axis in range(field.m):
-            for step in (-1, 1):
-                nxt = list(cur)
-                nxt[axis] += step
-                if not (0 <= nxt[axis] < field.dims[axis]):
-                    continue
-                nxt = tuple(nxt)
-                if visited[nxt] or not ring[nxt]:
-                    continue
-                d = (phase[nxt] - phase[cur] + np.pi) % (2 * np.pi) - np.pi
-                theta[nxt] = theta[cur] + d
-                visited[nxt] = True
-                stack.append(nxt)
-    if not np.all(visited[ring]):
-        raise LiftFailure("annulus disconnected on this grid")
-    # holonomy check: every ring adjacency must stay consistent
-    for axis in range(field.m):
-        a = [slice(None)] * field.m
-        b = [slice(None)] * field.m
-        a[axis] = slice(None, -1)
-        b[axis] = slice(1, None)
-        both = ring[tuple(a)] & ring[tuple(b)]
-        jump = np.abs(theta[tuple(b)] - theta[tuple(a)])
-        if np.any(both & (jump >= np.pi - 1e-9)):
-            raise LiftFailure("nonzero holonomy on a degree-0 annulus (sweep disagreed)")
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -818,21 +742,7 @@ def apply_shrinking(u, cls, mu=0.25, tau=None, k=1, p=1.5, profile=None):
         )
         for a in u.singular_mask.point_locations
     ]
-
-    def cmap(pts):
-        out = pts.copy()
-        for pc in pieces:
-            out = pc.apply(out)
-        return out
-
-    rows = _support_rows(
-        u,
-        [pc.center - pc.scale * pc.profile.rho for pc in pieces],
-        [pc.center + pc.scale * pc.profile.rho for pc in pieces],
-        0.0,
-    )
-    out = _compose(u, cmap, rows=rows)
-    return out, pieces
+    return _compose_radial(u, pieces), pieces
 
 
 # ---------------------------------------------------------------------------
@@ -930,7 +840,7 @@ def _generic_inner_box(u, eta):
     else:
         try:
             probes = [np.asarray(loc) for loc, _ in cell_degree_sweep(u).atoms]
-        except Exception:
+        except Undersampled:
             probes = []
     lo = np.array(u.box.lo) + eta
     hi = np.array(u.box.hi) - eta
@@ -967,10 +877,12 @@ def run_pipeline(u, params):
     def record(name, fld, prev, **extra):
         d_in = sobolev_distance(fld, u, k=k, p=p)
         d_prev = sobolev_distance(fld, prev, k=k, p=p)
-        try:
-            atoms = cell_degree_sweep(fld).atoms if fld.target is not None else []
-        except Exception:
-            atoms = []
+        atoms = []
+        if fld.target is not None:
+            try:
+                atoms = cell_degree_sweep(fld).atoms
+            except Undersampled as e:
+                extra["atoms_error"] = f"Undersampled: {e}"
         stages.append(
             StageRecord(
                 stage=name,
@@ -983,14 +895,11 @@ def run_pipeline(u, params):
         )
 
     eta_r = params.eta / 2.0
+    stage = "cubication"
     try:
-        inner = _generic_inner_box(u, params.eta)
-        cub = Cubication(inner, params.eta)
-    except Exception as e:
-        raise StageError("cubication", params.to_dict(), e)
+        cub = Cubication(_generic_inner_box(u, params.eta), params.eta)
 
-    stage = "classify"
-    try:
+        stage = "classify"
         cls = classify_cubes(u, cub, alpha=params.alpha, iota=params.iota, rho=params.rho, k=k, p=p)
         record(stage, u, u, n_bad=len(cls.bad), n_u=len(cls.padded), bound_constant=cls.bound_constant)
 
@@ -1065,7 +974,7 @@ def run_pipeline(u, params):
         u_fin = project_to_sphere(u_sh.with_values(u_sh.values, target=None), iota=min(0.9, 2 * params.iota))
         final_report = cell_degree_sweep(u_fin)
         record(stage, u_fin, u_sh)
-    except StageError:
+    except (StageError, ValidationError):
         raise
     except Exception as e:
         raise StageError(stage, params.to_dict(), e)

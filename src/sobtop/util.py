@@ -43,6 +43,11 @@ def smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
+def wrap_angle(d):
+    """Angle difference wrapped to [-pi, pi)."""
+    return (d + np.pi) % (2.0 * np.pi) - np.pi
+
+
 def ramp(x, a, b):
     """Smooth 0->1 transition over [a, b]."""
     return smoothstep((np.asarray(x, dtype=float) - a) / (b - a))
@@ -115,7 +120,10 @@ def multilinear(values, lo, hi, dims, points):
             bit = (corner >> i) & 1
             w = w * (frac[i] if bit else (1.0 - frac[i]))
             lin = lin + (idx0[i] + bit) * strides[i]
-        out += w[..., None] * flat[lin]
+        # one channel at a time: a broadcast over a short last axis runs
+        # numpy's inner loop a few elements at a time
+        for c in range(flat.shape[-1]):
+            out[..., c] += w * flat[:, c][lin]
     return out[..., 0] if scalar else out
 
 

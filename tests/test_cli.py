@@ -116,3 +116,30 @@ def test_cli_pipeline_dump_field(tmp_path, capsys):
     assert rep["final_class"] == "R_0"
     back = read_field(dump, target=1)
     assert back.dims == (96, 96)
+
+
+def test_cli_pipeline_validation_fault_exit_code(capsys):
+    # NonDivisibleEta is a configuration fault raised inside run_pipeline
+    assert main(["pipeline", "--input", "radial", "--dims", "64", "--eta", "0.3"]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_cli_grid_too_coarse_exit_code(capsys):
+    assert main(["norms", "--input", "radial", "--dims", "-5"]) == 2
+    assert main(["norms", "--input", "radial", "--dims", "3"]) == 2
+
+
+def test_cli_hopf_defaults_to_fibration(capsys):
+    assert main(["hopf", "--refinement", "2"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["input"] == "hopf" and rep["linking"] == 1
+    assert main(["hopf", "--input", "radial", "--refinement", "2"]) == 2
+
+
+def test_cli_checks_target_and_kp_against_field(tmp_path, capsys):
+    path = tmp_path / "r3.sfld"
+    write_field(path, builtin_field("radial", (16, 16, 16)))
+    args = ["pipeline", "--input", str(path), "--p", "2.5", "--eta", "0.5", "--alpha", "0.1"]
+    assert main(args + ["--target", "s1"]) == 2  # three components are not an S^1 target
+    assert main(args + ["--target", "s2"]) == 0  # kp = 2.5 < m = 3
+    assert json.loads(capsys.readouterr().out)["final_class"] == "R_0"

@@ -18,6 +18,7 @@ from sobtop.errors import (
     CurveHitsSingularSet,
     NonzeroHolonomy,
     OutsideTubularNeighborhood,
+    ValidationError,
 )
 from sobtop.geometry import BoundaryParam, TriangulatedSphere
 from sobtop.util import node_mesh
@@ -190,6 +191,14 @@ def test_project_to_sphere():
     with pytest.raises(OutsideTubularNeighborhood) as ei:
         project_to_sphere(bad, iota=0.2)
     assert ei.value.node == (3, 4)
+
+
+def test_grid_field_target_needs_matching_components():
+    vals = np.zeros((8, 8, 3))
+    vals[..., 0] = 1.0
+    with pytest.raises(ValidationError):
+        GridField(unit_box(2), (8, 8), vals, target=1)
+    assert GridField(unit_box(2), (8, 8), vals, target=2).nu == 3
 
 
 def test_circle_lift_roundtrip():

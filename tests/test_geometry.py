@@ -3,9 +3,9 @@ import pytest
 
 from sobtop import (
     Box,
+    Cubication,
     StructuredSingularSet,
     TriangulatedSphere,
-    build_cubication,
     distance_to_set,
     standard_disk_boundaries,
     unit_box,
@@ -15,7 +15,7 @@ from sobtop.geometry import Piece
 
 
 def test_cubication_2d_counts():
-    c = build_cubication(unit_box(2), 1.0)
+    c = Cubication(unit_box(2), 1.0)
     assert len(c.cube_units) == 4
     assert len(c.skeleton(0)) == 9
     dual = c.dual_skeleton(1)  # T^{1*} = T^0
@@ -24,7 +24,7 @@ def test_cubication_2d_counts():
 
 
 def test_cubication_single_cube():
-    c = build_cubication(unit_box(2), 2.0)
+    c = Cubication(unit_box(2), 2.0)
     assert len(c.cube_units) == 1
     dual = c.dual_skeleton(1)
     assert [tuple(c.face_center(f)) for f in dual] == [(0.0, 0.0)]
@@ -33,7 +33,7 @@ def test_cubication_single_cube():
 def test_cubication_3d_dual_brute_force():
     """Dual of S^1 in [-1,1]^3 at eta=1: compare against an independent
     enumeration of the shifted-lattice cells contained in the box."""
-    c = build_cubication(unit_box(3), 1.0)
+    c = Cubication(unit_box(3), 1.0)
     assert len(c.cube_units) == 8
     dual = c.dual_skeleton(1)
     got = sorted((f.center_units, f.span) for f in dual)
@@ -54,14 +54,14 @@ def test_cubication_3d_dual_brute_force():
 
 def test_cubication_errors_and_tiling():
     with pytest.raises(NonDivisibleEta):
-        build_cubication(unit_box(2), 0.3)
-    c = build_cubication(unit_box(3), 0.5)
+        Cubication(unit_box(2), 0.3)
+    c = Cubication(unit_box(3), 0.5)
     vol = len(c.cube_units) * c.eta**3
     assert abs(vol - c.box.volume) <= 1e-12 * c.box.volume
 
 
 def test_skeleton_dedup():
-    c = build_cubication(unit_box(2), 0.5)
+    c = Cubication(unit_box(2), 0.5)
     # every 1-face of every cube appears exactly once in S^1
     raw = [f.center_units for cu in c.cube_units for f in c.cube_faces(cu, 1)]
     assert len(set(raw)) == len(c.skeleton(1))
@@ -73,7 +73,7 @@ def test_skeleton_dedup():
 
 
 def test_dual_skeleton_disjointness():
-    c = build_cubication(unit_box(2), 0.5)
+    c = Cubication(unit_box(2), 0.5)
     s1 = c.faces_to_set(c.skeleton(1), rank=1)
     rho = 0.25
     for f in c.dual_skeleton(1):

@@ -133,7 +133,7 @@ def test_open_at_point_tonelli_average():
     u = builtin_field("dipole", (96, 96))
     w = maximal_function_detector(u, p=1.5)
     center, delta = np.array([0.05, 0.0]), 0.05
-    from sobtop.pipeline import OpeningPiece, _detector_cost
+    from sobtop.pipeline import OpeningMap, OpeningPiece
     from sobtop.util import philox
 
     rng = philox(2, 0x09E7)
@@ -145,7 +145,7 @@ def test_open_at_point_tonelli_average():
     for zk in cand:
         piece = OpeningPiece(center=center, span=(), ortho=(0, 1), inner=2 * delta,
                              outer=3 * delta, z=zk, face_halfwidth=0.0, z_radius=delta)
-        vals = w.interp(piece.apply(nodes[win].copy()))
+        vals = w.interp(OpeningMap([piece]).apply(nodes[win]))
         costs.append(float(np.sum(np.where(np.isfinite(vals), vals, 0.0) * wq)))
     mean_cost = float(np.mean(costs))
     # Tonelli / affine change: the z-average of the opened window integral is
@@ -448,6 +448,19 @@ def test_pipeline_s2_target_on_b3():
     assert rep.final_class == "R_0"
     assert len(rep.final_atoms) == 1 and rep.final_atoms[0][1] == 1
     assert rep.stages[0].extra["n_bad"] >= 1
+
+
+def test_pipeline_reports_undersampled_atoms():
+    """A stage whose degree sweep is undersampled says so in the report
+    instead of listing no atoms."""
+    rep = run_pipeline(builtin_field("power_2", (130, 130)), PipelineParams(eta=0.25, p=1.5, alpha=0.05))
+    stages = {s.stage: s for s in rep.stages}
+    for name in ("classify", "open"):
+        assert stages[name].atoms == []
+        assert stages[name].extra["atoms_error"].startswith("Undersampled: ")
+    assert stages["thicken"].atoms[0][1] == 2
+    assert [s.stage for s in rep.stages if "atoms_error" in s.extra] == ["classify", "open"]
+    assert "atoms_error" in rep.to_dict()["stages"][0]
 
 
 def test_pipeline_validation():

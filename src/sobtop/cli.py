@@ -59,8 +59,11 @@ class ExperimentConfig:
         )
 
     def validate(self):
-        """Run PipelineParams' checks of p, rho, mu and tau for every command;
-        the grid, target and kp are checked against the field once it loads."""
+        """Check the refinement and run PipelineParams' checks of eta, p, rho,
+        mu and tau for every command; the grid, target and kp are checked
+        against the field once it loads."""
+        if self.refinement < 1:
+            raise ValidationError(f"refinement must be >= 1, got {self.refinement}")
         self.pipeline_params()
 
 

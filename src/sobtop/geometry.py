@@ -250,54 +250,63 @@ def _orient_positive(vertices, simplices):
     return simplices
 
 
-def _subdivide_tri(vertices, tris):
-    verts = list(vertices)
-    mid = {}
-
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in mid:
-            p = verts[i] + verts[j]
-            p = p / np.linalg.norm(p)
-            mid[key] = len(verts)
-            verts.append(p)
-        return mid[key]
-
-    out = []
-    for a, b, c in tris:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-    return np.array(verts), np.array(out)
+def sort_parity(rows):
+    """+1.0 or -1.0 per row of distinct integers: the parity of the permutation that sorts it."""
+    rows = np.asarray(rows)
+    pairs = combinations(range(rows.shape[-1]), 2)
+    inversions = sum((rows[..., i] > rows[..., j] for i, j in pairs), np.zeros(rows.shape[:-1], dtype=int))
+    return np.where(inversions % 2 == 0, 1.0, -1.0)
 
 
-def _subdivide_tet(vertices, tets):
-    verts = list(vertices)
-    mid = {}
+def distinct_simplices(rows, n):
+    """Index the simplices ``rows`` (..., k), given by vertex indices below ``n``
+    in any order, by their distinct vertex sets.
 
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key not in mid:
-            p = verts[i] + verts[j]
-            p = p / np.linalg.norm(p)
-            mid[key] = len(verts)
-            verts.append(p)
-        return mid[key]
+    The distinct simplices are numbered in the lexicographic order of their
+    sorted vertices (an int64 key each).  Returns the array of those numbers,
+    shaped like ``rows[..., 0]``, and the flat position in it of each distinct
+    simplex's first occurrence.
+    """
+    s = np.sort(rows, axis=-1).astype(np.int64)
+    if n ** s.shape[-1] > np.iinfo(np.int64).max:
+        raise OverflowError(f"{n} vertices are too many for int64 keys of {s.shape[-1]}-vertex simplices")
+    keys = np.zeros(s.shape[:-1], dtype=np.int64)
+    for j in range(s.shape[-1]):
+        keys = keys * n + s[..., j]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return inverse.reshape(keys.shape), first
 
-    out = []
-    for a, b, c, d in tets:
-        ab, ac, ad = midpoint(a, b), midpoint(a, c), midpoint(a, d)
-        bc, bd, cd = midpoint(b, c), midpoint(b, d), midpoint(c, d)
-        out += [
-            [a, ab, ac, ad],
-            [ab, b, bc, bd],
-            [ac, bc, c, cd],
-            [ad, bd, cd, d],
-            [ab, ac, ad, bd],
-            [ab, ac, bc, bd],
-            [ac, ad, bd, cd],
-            [ac, bc, bd, cd],
-        ]
-    return np.array(verts), np.array(out)
+
+# Midpoint subdivision of a triangle (a, b, c) or a tetrahedron (a, b, c, d):
+# the edges in the order their midpoints are numbered (first encounter first),
+# and the children as positions in the row (vertices..., midpoints...).
+_SUBDIVISION = {
+    3: (
+        ((0, 1), (1, 2), (2, 0)),  # ab, bc, ca
+        ((0, 3, 5), (3, 1, 4), (5, 4, 2), (3, 4, 5)),
+    ),
+    4: (
+        ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)),  # ab, ac, ad, bc, bd, cd
+        ((0, 4, 5, 6), (4, 1, 7, 8), (5, 7, 2, 9), (6, 8, 9, 3),
+         (4, 5, 6, 8), (4, 5, 7, 8), (5, 6, 8, 9), (5, 7, 8, 9)),
+    ),
+}
+
+
+def _subdivide(vertices, simplices):
+    """Split every simplex at its edge midpoints, pushed out to the unit sphere."""
+    k = simplices.shape[1]
+    edges, children = _SUBDIVISION[k]
+    ends = simplices[:, edges]
+    table, first = distinct_simplices(ends, len(vertices))
+    number = np.empty_like(first)
+    number[np.argsort(first)] = np.arange(len(vertices), len(vertices) + len(first))
+    a, b = ends.reshape(-1, 2)[np.sort(first)].T
+    mid = vertices[a] + vertices[b]
+    # a row-wise dot through matmul rounds as the 1-D np.linalg.norm does
+    mid = mid / np.sqrt(mid[:, None, :] @ mid[:, :, None])[:, 0]
+    rows = np.concatenate([simplices, number[table]], axis=1)
+    return np.concatenate([vertices, mid]), rows[:, children].reshape(-1, k)
 
 
 def solid_angles(a, b, c):
@@ -318,6 +327,8 @@ class TriangulatedSphere:
     def __init__(self, dim, refinement):
         if dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2 or 3")
+        if refinement < 0:
+            raise ValueError(f"refinement must be >= 0, got {refinement}")
         self.dim = dim
         self.refinement = int(refinement)
         if dim == 1:
@@ -325,18 +336,12 @@ class TriangulatedSphere:
             ang = 2.0 * np.pi * np.arange(n) / n
             self.vertices = np.stack([np.cos(ang), np.sin(ang)], axis=1)
             self.simplices = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-        elif dim == 2:
-            verts, tris = _cross_polytope(3)
-            for _ in range(self.refinement):
-                verts, tris = _subdivide_tri(verts, tris)
-                tris = _orient_positive(verts, tris)
-            self.vertices, self.simplices = verts, _orient_positive(verts, tris)
         else:
-            verts, tets = _cross_polytope(4)
+            verts, simps = _cross_polytope(dim + 1)
             for _ in range(self.refinement):
-                verts, tets = _subdivide_tet(verts, tets)
-                tets = _orient_positive(verts, tets)
-            self.vertices, self.simplices = verts, _orient_positive(verts, tets)
+                verts, simps = _subdivide(verts, simps)
+                simps = _orient_positive(verts, simps)
+            self.vertices, self.simplices = verts, simps
 
     def cycle(self):
         """Vertex indices in cyclic order (dim 1 only)."""
@@ -359,7 +364,7 @@ class TriangulatedSphere:
             return float(np.sum(solid_angles(v[:, 0], v[:, 1], v[:, 2])))
         verts, tets = self.vertices, self.simplices
         for _ in range(extra_refine):
-            verts, tets = _subdivide_tet(verts, tets)
+            verts, tets = _subdivide(verts, tets)
         return float(np.sum(np.abs(np.linalg.det(verts[tets]))) / 6.0)
 
     def simplex_measures(self):
@@ -374,27 +379,11 @@ class TriangulatedSphere:
 
     def boundary_of_boundary_is_zero(self):
         """Chain-level d(d(simplices)) == 0; dim 2/3 sanity check."""
-        from collections import Counter
-
-        faces = Counter()
         k = self.simplices.shape[1]
-        for s in self.simplices:
-            for i in range(k):
-                sub = tuple(x for j, x in enumerate(s) if j != i)
-                key = tuple(sorted(sub))
-                par = _perm_parity(sub) * (-1) ** i
-                faces[key] += par
-        return all(v == 0 for v in faces.values())
-
-
-def _perm_parity(seq):
-    seq = list(seq)
-    par = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                par = -par
-    return par
+        sub = self.simplices[:, [[j for j in range(k) if j != i] for i in range(k)]]
+        table, _ = distinct_simplices(sub, len(self.vertices))
+        signs = sort_parity(sub) * (-1.0) ** np.arange(k)
+        return not np.bincount(table.ravel(), weights=signs.ravel()).any()
 
 
 def _cross_polytope(k):

@@ -23,28 +23,25 @@ from scipy.sparse.linalg import cg
 
 from .errors import NonClosedForm, NonRegularValue, SolverDivergence
 from .fields import SampledSphereMap
-from .geometry import TriangulatedSphere, solid_angles
+from .geometry import TriangulatedSphere, distinct_simplices, solid_angles, sort_parity
 
 _LOCAL_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _LOCAL_FACES = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-
-
-def _eps(i, j, k):
-    rest = {0, 1, 2, 3} - {i, j, k}
-    if len(rest) != 1:
-        return 0.0
-    perm = [rest.pop(), i, j, k]
-    sg = 1
-    for a in range(4):
-        for b in range(a + 1, 4):
-            if perm[a] > perm[b]:
-                sg = -sg
-    return float(sg)
+# sign of each local face in the boundary of its tet: (-1)^i for the face opposite vertex i
+_FACE_BOUNDARY_SIGNS = (-1.0, 1.0, -1.0, 1.0)
+# the edges (d, g), (c, g), (c, d) of each local face (c, d, g), with boundary signs +, -, +
+_FACE_EDGES = tuple(
+    tuple(_LOCAL_EDGES.index(e) for e in ((d, g), (c, g), (c, d))) for c, d, g in _LOCAL_FACES
+)
 
 
 @lru_cache(maxsize=1)
 def whitney_pairing_matrix():
     """K[e,f] = integral over the reference tet of W_edge ^ W_face (6x4 rationals)."""
+
+    def eps(i, j, k):
+        return 0.0 if len({i, j, k}) < 3 else float(sort_parity([6 - i - j - k, i, j, k]))
+
     K = np.zeros((6, 4))
     for ei, (a, b) in enumerate(_LOCAL_EDGES):
         for fi, (c, d, g) in enumerate(_LOCAL_FACES):
@@ -58,42 +55,36 @@ def whitney_pairing_matrix():
             )
             val = 0.0
             for sgn, p, q, (i, j, k) in terms:
-                val += sgn * (1.0 + (p == q)) / 20.0 * (1.0 / 6.0) * _eps(i, j, k)
+                val += sgn * (1.0 + (p == q)) / 20.0 * (1.0 / 6.0) * eps(i, j, k)
             K[ei, fi] = 2.0 * val
     return K
 
 
-def _sort3_parity(tri):
-    """Parity (+-1) of sorting each row of an (N,3) int array."""
-    inv = (
-        (tri[:, 0] > tri[:, 1]).astype(int)
-        + (tri[:, 0] > tri[:, 2]).astype(int)
-        + (tri[:, 1] > tri[:, 2]).astype(int)
-    )
-    return np.where(inv % 2 == 0, 1.0, -1.0)
-
-
 class DECSphere3:
-    """Incidence structure and Hodge data of a triangulated S^3."""
+    """Incidence tables and coboundaries of a triangulated S^3.
+
+    ``faces`` and ``edges`` are the distinct triangles and edges, each row
+    sorted and the rows in lexicographic order.  ``tet_faces`` (T, 4) and
+    ``tet_edges`` (T, 6) index them from every tet in ``_LOCAL_FACES`` and
+    ``_LOCAL_EDGES`` order; ``face_signs`` and ``edge_signs`` are -1 where the
+    tet's vertex order runs against the sorted one.  ``d0``, ``d1`` and ``d2``
+    are the coboundaries and ``d1 d1^T`` is the cached normal operator of the
+    minimum-norm potential.
+    """
 
     def __init__(self, sphere):
         if sphere.dim != 3:
             raise ValueError("DECSphere3 needs a dim-3 triangulated sphere")
         self.sphere = sphere
         tets = sphere.simplices
-        T = len(tets)
-        fa = np.sort(
-            np.concatenate([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]], tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]]),
-            axis=1,
-        )
-        self.faces, finv = np.unique(fa, axis=0, return_inverse=True)
-        ed = np.sort(
-            np.concatenate([self.faces[:, [1, 2]], self.faces[:, [0, 2]], self.faces[:, [0, 1]]]), axis=1
-        )
-        self.edges, einv = np.unique(ed, axis=0, return_inverse=True)
-        V = len(sphere.vertices)
+        V, T = len(sphere.vertices), len(tets)
+        local_faces, local_edges = tets[:, _LOCAL_FACES], tets[:, _LOCAL_EDGES]
+        self.tet_faces, first_face = distinct_simplices(local_faces, V)
+        self.tet_edges, first_edge = distinct_simplices(local_edges, V)
+        self.face_signs, self.edge_signs = sort_parity(local_faces), sort_parity(local_edges)
+        self.faces = np.sort(local_faces.reshape(-1, 3)[first_face], axis=1)
+        self.edges = np.sort(local_edges.reshape(-1, 2)[first_edge], axis=1)
         E, F = len(self.edges), len(self.faces)
-        # d0: E x V
         self.d0 = sp.csr_matrix(
             (
                 np.concatenate([np.ones(E), -np.ones(E)]),
@@ -101,64 +92,22 @@ class DECSphere3:
             ),
             shape=(E, V),
         )
-        # d1: F x E, face (i<j<k) -> +(j,k) - (i,k) + (i,j)
+        # each face's boundary, read off the first tet that has it
+        t, slot = np.divmod(first_face, 4)
+        fe = np.array(_FACE_EDGES)[slot]
+        t = t[:, None]
+        signs = self.face_signs[t, slot[:, None]] * self.edge_signs[t, fe] * [1.0, -1.0, 1.0]
         self.d1 = sp.csr_matrix(
-            (
-                np.concatenate([np.ones(F), -np.ones(F), np.ones(F)]),
-                (np.concatenate([np.arange(F)] * 3), np.concatenate([einv[:F], einv[F : 2 * F], einv[2 * F :]])),
-            ),
-            shape=(F, E),
+            (signs.ravel(), (np.repeat(np.arange(F), 3), self.tet_edges[t, fe].ravel())), shape=(F, E)
         )
-        self._ekeys = self.edges[:, 0].astype(np.int64) * V + self.edges[:, 1]
-        Vl = np.int64(V)
-        self._fkeys = (self.faces[:, 0].astype(np.int64) * Vl + self.faces[:, 1]) * Vl + self.faces[:, 2]
-        # d2: T x F with induced boundary signs against the canonical sorted faces
-        rows, cols, vals = [], [], []
-        for i in range(4):
-            sub = [a for a in range(4) if a != i]
-            tri = tets[:, sub]
-            sgn = _sort3_parity(tri) * ((-1.0) ** i)
-            cols.append(self._face_index(np.sort(tri, axis=1)))
-            rows.append(np.arange(T))
-            vals.append(sgn)
         self.d2 = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(T, F)
+            (
+                (self.face_signs * _FACE_BOUNDARY_SIGNS).ravel(),
+                (np.repeat(np.arange(T), 4), self.tet_faces.ravel()),
+            ),
+            shape=(T, F),
         )
-        # diagonal Hodge stars (barycentric dual volumes / primal measures)
-        pts = sphere.vertices
-        tet_vol = np.abs(np.linalg.det(pts[tets])) / 6.0
-        edge_len = np.linalg.norm(pts[self.edges[:, 1]] - pts[self.edges[:, 0]], axis=1)
-        dual_edge = np.zeros(E)
-        for a, b in _LOCAL_EDGES:
-            idx, _ = self._edge_lookup(tets[:, a], tets[:, b])
-            np.add.at(dual_edge, idx, tet_vol / 6.0)
-        self.star1 = dual_edge / edge_len
-        tri_pts = pts[self.faces]
-        e1 = tri_pts[:, 1] - tri_pts[:, 0]
-        e2 = tri_pts[:, 2] - tri_pts[:, 0]
-        gram = (
-            np.einsum("ij,ij->i", e1, e1) * np.einsum("ij,ij->i", e2, e2)
-            - np.einsum("ij,ij->i", e1, e2) ** 2
-        )
-        face_area = 0.5 * np.sqrt(np.maximum(gram, 0.0))
-        dual_face = np.zeros(F)
-        fidx = self._face_index(np.sort(np.concatenate([tets[:, [1, 2, 3]], tets[:, [0, 2, 3]],
-                                                        tets[:, [0, 1, 3]], tets[:, [0, 1, 2]]]), axis=1))
-        np.add.at(dual_face, fidx, np.tile(tet_vol, 4) / 4.0)
-        self.star2 = dual_face / face_area
         self._A = (self.d1 @ self.d1.T).tocsr()  # normal operator for the min-norm potential
-
-    def _edge_lookup(self, a, b):
-        V = len(self.sphere.vertices)
-        lo = np.minimum(a, b).astype(np.int64)
-        hi = np.maximum(a, b).astype(np.int64)
-        idx = np.searchsorted(self._ekeys, lo * V + hi)
-        return idx, np.where(a < b, 1.0, -1.0)
-
-    def _face_index(self, sorted_tris):
-        V = np.int64(len(self.sphere.vertices))
-        q = (sorted_tris[:, 0].astype(np.int64) * V + sorted_tris[:, 1]) * V + sorted_tris[:, 2]
-        return np.searchsorted(self._fkeys, q)
 
     def area_cochain(self, values):
         """Pulled-back normalized S^2 area form on every canonical face."""
@@ -174,27 +123,15 @@ class DECSphere3:
 
     def wedge_pair(self, chi, omega):
         """sum over tets of (Whitney chi) ^ (Whitney omega)."""
-        tets = self.sphere.simplices
-        T = len(tets)
-        Ech = np.empty((T, 6))
-        for li, (a, b) in enumerate(_LOCAL_EDGES):
-            idx, sgn = self._edge_lookup(tets[:, a], tets[:, b])
-            Ech[:, li] = sgn * chi[idx]
-        Fom = np.empty((T, 4))
-        for fi, (c, d, g) in enumerate(_LOCAL_FACES):
-            tri = tets[:, [c, d, g]]
-            idx = self._face_index(np.sort(tri, axis=1))
-            Fom[:, fi] = _sort3_parity(tri) * omega[idx]
+        Ech = self.edge_signs * chi[self.tet_edges]
+        Fom = self.face_signs * omega[self.tet_faces]
         return float(np.einsum("te,ef,tf->", Ech, whitney_pairing_matrix(), Fom))
 
 
-_DEC_CACHE = {}
-
-
+@lru_cache(maxsize=1)
 def dec_sphere(refinement):
-    if refinement not in _DEC_CACHE:
-        _DEC_CACHE[refinement] = DECSphere3(TriangulatedSphere(3, refinement))
-    return _DEC_CACHE[refinement]
+    """DEC complex of TriangulatedSphere(3, refinement); the last one built is kept."""
+    return DECSphere3(TriangulatedSphere(3, refinement))
 
 
 def hopf_whitehead(v, dec=None, tol=1e-8):

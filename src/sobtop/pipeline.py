@@ -768,6 +768,8 @@ class PipelineParams:
             self.tau = self.mu / 4.0
         if self.alpha is None:
             self.alpha = self.iota
+        if not self.eta > 0:
+            raise AdmissibilityViolation("eta must be positive")
         if not 0 < self.rho < 0.5:
             raise AdmissibilityViolation("rho outside (0, 1/2)")
         if not 0 < self.tau < self.mu < 0.5:

@@ -124,6 +124,20 @@ def test_cli_pipeline_validation_fault_exit_code(capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_cli_nonpositive_eta_exit_code(capsys):
+    # a zero or negative cube side is a configuration fault, not a stage failure
+    for eta in ("0", "-0.25"):
+        assert main(["pipeline", "--input", "radial", "--dims", "64", "--eta", eta]) == 2
+        assert "eta must be positive" in capsys.readouterr().err
+
+
+def test_cli_hopf_refinement_below_one_exit_code(capsys):
+    # refinement 0 is the bare cross-polytope, on which the fibration reads whitehead 0.0
+    for refinement in ("0", "-1"):
+        assert main(["hopf", "--refinement", refinement]) == 2
+        assert "refinement must be >= 1" in capsys.readouterr().err
+
+
 def test_cli_grid_too_coarse_exit_code(capsys):
     assert main(["norms", "--input", "radial", "--dims", "-5"]) == 2
     assert main(["norms", "--input", "radial", "--dims", "3"]) == 2

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,33 @@ def test_triangulated_sphere_structure(dim, refinement):
     assert sph.boundary_of_boundary_is_zero()
     exact = sph.param_measure()
     assert abs(sph.measure() - exact) <= 0.01 * exact
+
+
+# sha256 of vertices.tobytes() + simplices.tobytes(), recorded from the
+# dict-of-midpoints subdivision that the vectorised one replaced
+_SPHERE_DIGESTS = {
+    (2, 0): "29a91dfcf31d8868ca738499cc8b4c85ca498d7430db3ad8aeb504edc2f8c56d",
+    (2, 1): "074bdff33b3149ee4fdfcaab875423466ec385a81cfb51f8bc23b4deeed2531f",
+    (2, 2): "82f2cdd0f22d83b90dd94be0b25a8bfd111e1e749540b6dee1504addd369c492",
+    (2, 3): "15cb52bb69b3fa9e7a2043213e6cd8b3aea6151da60bbb93b17a8debb755e767",
+    (3, 0): "93a6d357d3173d45596d4f833bceaf372a54cb72c02d03e95141d96350b3d56c",
+    (3, 1): "22dcbcf1023261460f4ee25395e7650ec2759f18f08125908392d88eefc0e0ae",
+    (3, 2): "e58dda4776bf979b8a43277d262685e515862ca88ef755915bc8c2a7658a51f8",
+    (3, 3): "0c05f764fe5c1fd614dc45073b4295c95bb49c28cbdf8758943d37dddfafb418",
+}
+
+
+@pytest.mark.parametrize("dim,refinement", sorted(_SPHERE_DIGESTS))
+def test_triangulated_sphere_is_pinned(dim, refinement):
+    sph = TriangulatedSphere(dim, refinement)
+    digest = hashlib.sha256(sph.vertices.tobytes() + sph.simplices.tobytes()).hexdigest()
+    assert digest == _SPHERE_DIGESTS[dim, refinement]
+
+
+def test_triangulated_sphere_rejects_negative_refinement():
+    for dim in (1, 2, 3):
+        with pytest.raises(ValueError):
+            TriangulatedSphere(dim, -1)
 
 
 def test_triangulated_sphere_orientation_consistency():

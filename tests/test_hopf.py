@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,41 @@ def test_dec_structure():
     dec = dec_sphere(2)
     assert abs(dec.d1 @ dec.d0).max() == 0.0
     assert abs(dec.d2 @ dec.d1).max() == 0.0
-    assert np.all(dec.star1 > 0) and np.all(dec.star2 > 0)
     V = len(dec.sphere.vertices)
     E, F, T = len(dec.edges), len(dec.faces), len(dec.sphere.simplices)
     assert V - E + F - T == 0  # Euler characteristic of S^3
+    # the Whitney pairing of a closed omega ignores the gauge of chi, which
+    # holds only if the per-tet edge and face signs agree with d0 and d1
+    omega = dec.area_cochain(hopf_fibration(2).values)
+    chi = dec.solve_potential(omega)
+    f = np.random.default_rng(5).normal(size=V)
+    assert abs(dec.wedge_pair(chi + dec.d0 @ f, omega) - dec.wedge_pair(chi, omega)) <= 1e-12
+
+
+# sha256 of each array's bytes, recorded from the DEC build that
+# deduplicated faces and edges with np.unique(axis=0)
+_DEC2_DIGESTS = {
+    "faces": "0c2305d17aae8c2b92de0545df0ecdaf65e86cd2624b0f99a8fb9228d51be1dc",
+    "edges": "ddc32806e863dfce52d850f2c6a80afb8da9abea67d108b0f57fca5ad59091b7",
+    "d0.data": "ef13500e7dc0a6dd75f64eee9f6cfd92e94dc54d171827d5c35bd78ee5066121",
+    "d0.indices": "e6c36db445f1a0da1bb29cd4a78000a32cf919fd719c5c0586c217b666113686",
+    "d0.indptr": "cab167cda9874efc4a0276a65370f0effaead7ad1dc33a27d362b2880c4e8103",
+    "d1.data": "de5f43dafbfd38edc2e1b0ad1f2d2d0050e2304aeb695fe9f40bdeaf33fc6ef7",
+    "d1.indices": "0ef21c2052e06689ae0d091b14cdb2afddce42f8b98b6fd5b060ca2d783712eb",
+    "d1.indptr": "4b6f22b350b72f07278355d21bc42e37a0b885aaaeded7bab2336d7d25a2c1d5",
+    "d2.data": "ae6cfa0ad196483c0b6aa42ac441bf87fb3bb07ecf791bc36370fdb41d281919",
+    "d2.indices": "f69e435410701389a5f199ce413436783b4d4bcffa332ef60c5afbcfb449420c",
+    "d2.indptr": "a75054049fdb48f70fe5fb426336824877c725e14764cec0002e019c1e1f18ee",
+}
+
+
+def test_dec_arrays_are_pinned():
+    dec = DECSphere3(TriangulatedSphere(3, 2))
+    arrays = {"faces": dec.faces, "edges": dec.edges}
+    for name in ("d0", "d1", "d2"):
+        M = getattr(dec, name)
+        arrays.update({f"{name}.data": M.data, f"{name}.indices": M.indices, f"{name}.indptr": M.indptr})
+    assert {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in arrays.items()} == _DEC2_DIGESTS
 
 
 def test_whitney_matrix_is_universal():

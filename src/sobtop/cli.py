@@ -17,7 +17,7 @@ from .errors import ComputationError, SobtopError, StageError, ValidationError
 from .fieldfile import read_field, write_field
 from .fields import fractional_seminorm, mean_oscillation, sobolev_norm
 from .geometry import standard_disk_boundaries
-from .hopf import hopf_linking, hopf_whitehead
+from .hopf import DECSphere3, hopf_linking, hopf_whitehead
 from .invariants import cell_degree_sweep, extendability_oracle
 from .pipeline import PipelineParams, run_pipeline
 
@@ -136,7 +136,7 @@ def cmd_hopf(cfg):
         raise ValidationError(f"hopf needs a sample of S^3 (the builtin 'hopf'), not {cfg.input!r}")
     v = builtin_fields.hopf_fibration(cfg.refinement)
     rep = _report_base(cfg)
-    rep["whitehead"] = hopf_whitehead(v)
+    rep["whitehead"] = hopf_whitehead(v, dec=DECSphere3(v.sphere))
     rep["linking"] = hopf_linking(v)
     return rep
 

@@ -135,14 +135,15 @@ def dec_sphere(refinement):
 
 
 def hopf_whitehead(v, dec=None, tol=1e-8):
-    """Whitehead integral of a sampled map S^3 -> S^2 via the Hodge system."""
+    """Whitehead integral of a sampled map S^3 -> S^2 via the Hodge system; a
+    given or cached ``dec`` is used only if its simplices are v's sphere's."""
     if isinstance(v, SampledSphereMap):
         sphere, values = v.sphere, v.values
     else:
         raise ValueError("expected a SampledSphereMap on a dim-3 sphere")
     if dec is None:
         dec = dec_sphere(sphere.refinement)
-    if dec.sphere is not sphere and len(dec.sphere.vertices) != len(sphere.vertices):
+    if dec.sphere is not sphere and not np.array_equal(dec.sphere.simplices, sphere.simplices):
         dec = DECSphere3(sphere)
     omega = dec.area_cochain(values)
     closure = np.abs(dec.d2 @ omega).max()

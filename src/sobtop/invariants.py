@@ -12,7 +12,7 @@ import numpy as np
 from scipy import ndimage
 
 from .detectors import fuglede_check
-from .errors import InsufficientAdmissibleDisks, Undersampled
+from .errors import CurveHitsSingularSet, InsufficientAdmissibleDisks, Undersampled
 from .fields import SampledSphereMap, finite_difference, restrict_to_curve
 from .geometry import solid_angles
 from .util import bump, wrap_angle
@@ -299,17 +299,22 @@ class OracleVerdict:
 def extendability_oracle(u, disks, w, budget=None, min_admissible=8):
     """Generic-restriction test: extendable iff every admissible disk boundary
     has degree zero and (when m = n+1) the Jacobian pairings vanish within
-    tolerance max(1e-2, 5h)*||d alpha||."""
+    tolerance max(1e-2, 5h)*||d alpha||.  A disk is admissible when it passes
+    the detector, which is read between its samples, and no sample comes
+    within one cell of the singular set."""
     if u.target is None:
         raise ValueError("oracle needs a sphere-valued field")
     degrees = []
     admissible = 0
     for k, gamma in enumerate(disks):
-        verdict = fuglede_check(w, gamma, budget=budget, gamma_id=k)
-        if not verdict.admissible:
+        if not fuglede_check(w, gamma, budget=budget, gamma_id=k).admissible:
+            continue
+        try:
+            degree = hurewicz_degree(u, gamma)
+        except CurveHitsSingularSet:
             continue
         admissible += 1
-        degrees.append((k, hurewicz_degree(u, gamma)))
+        degrees.append((k, degree))
     if admissible < min_admissible:
         raise InsufficientAdmissibleDisks(admissible, min_admissible)
     all_zero = all(d == 0 for _, d in degrees)

@@ -209,7 +209,6 @@ class Classification:
     p: float
     values: dict  # criterion value per cube
     vol_bad_padded: float = 0.0
-    vol_u_padded: float = 0.0
     bound_constant: float = 0.0
 
     @property
@@ -217,14 +216,11 @@ class Classification:
         return not self.bad
 
     def u_cube_centers(self):
+        """The centres of the U^m cubes, which are Z^{ell*} for ell = m-1."""
         return self.cubication.units_to_coords(list(self.padded))
 
     def bad_cube_centers(self):
         return self.cubication.units_to_coords(list(self.bad))
-
-    def dual_points(self):
-        """Z^{ell*} for ell = m-1: the centers of the U^m cubes."""
-        return self.u_cube_centers()
 
     def dist_inf_to(self, nodes, which="bad"):
         centers = self.bad_cube_centers() if which == "bad" else self.u_cube_centers()
@@ -288,8 +284,6 @@ def classify_cubes(u, cub, alpha=0.2, iota=0.2, rho=0.25, k=1, p=1.5):
     if bad_set:
         d_bad = cls.dist_inf_to(nodes, "bad")
         cls.vol_bad_padded = float(np.sum(u.weights() * (d_bad <= 2.0 * rho * eta_r)))
-        d_u = cls.dist_inf_to(nodes, "u")
-        cls.vol_u_padded = float(np.sum(u.weights() * (d_u <= 2.0 * rho * eta_r)))
         total = float(np.sum(u.weights() * (~du.excluded) * mag**kp))
         if total > 0:
             cls.bound_constant = cls.vol_bad_padded / (eta_r**kp * total)
@@ -327,6 +321,7 @@ class OpeningPiece:
     z: np.ndarray
     face_halfwidth: float
     z_radius: float
+    key: tuple = None  # integer centre of the skeleton face, if any
 
     def __post_init__(self):
         hw = np.empty(len(self.center))
@@ -459,78 +454,83 @@ def open_at_point(u, center, delta, w, samples=64, seed=0):
 
 def open_on_skeleton(u, cls, target="U", ell=1, w=None, seed=0):
     """Iterated cylindrical opening around the faces of dimension 0..ell of the
-    bad subskeleton (target 'U') or the full skeleton (target 'S').
+    full skeleton (target 'S') or of the U cubes (target 'U').
 
-    Translation draws are seeded per face, so faces shared between the two
-    targets reuse identical translations and the two maps agree on
-    U^m + Q_{rho eta/2} exactly.
+    The translates are chosen in one walk over the full skeleton, in the order
+    of ``Cubication.skeleton``, each the cheapest of 64 draws seeded by its
+    face, given the pieces before it.  Target 'U' composes the pieces of the
+    U cubes' faces from that walk, so the two maps share every translate.
     """
-    cub = cls.cubication
+    if target not in ("U", "S"):
+        raise ValueError("target must be 'U' or 'S'")
     if ell > cls.k * cls.p + 1e-12:
         raise AdmissibilityViolation(f"ell={ell} above kp={cls.k * cls.p}")
+    if target == "U" and not cls.padded:
+        return u.with_values(u.values.copy()), OpeningMap(pieces=[]), {}
     if w is None:
         w = maximal_function_detector(u, p=cls.k * cls.p)
+    cub = cls.cubication
     R = cls.rho * cub.radius
-    if target == "U":
-        cube_units = list(cls.padded)
-    elif target == "S":
-        cube_units = cub.cube_units
-    else:
-        raise ValueError("target must be 'U' or 'S'")
-    if not cube_units:
-        return u.with_values(u.values.copy()), OpeningMap(pieces=[]), {}
     nodes = u.nodes().reshape(-1, u.m)
     pieces = []
-    sob_constants = {}
-    du_in = finite_difference(u, 1)
     for j in range(0, ell + 1):
-        faces = {}
-        for cu in cube_units:
-            for f in cub.cube_faces(cu, j):
-                faces[f.center_units] = f
         if j not in _STAGE_SCALES:
             raise NotImplementedError("opening implemented for face dimensions 0..2")
         inner, outer, zrad = (s * R for s in _STAGE_SCALES[j])
-        for key in sorted(faces):
-            f = faces[key]
-            c = cub.units_to_coords([f.center_units])[0]
+        for f in cub.skeleton(j):
+            c = cub.face_center(f)
             ortho = tuple(a for a in range(u.m) if a not in f.span)
-            rng = philox(seed, 0x0FACE, j, *key)
+            rng = philox(seed, 0x0FACE, j, *f.center_units)
             cand = rng.uniform(-zrad, zrad, size=(64, len(ortho)))
             wpts = nodes[_support_rows(u, [c], [c], cub.radius + 2.0 * R)]
             piece = OpeningPiece(
                 center=c, span=f.span, ortho=ortho,
                 inner=inner, outer=outer, z=np.zeros(len(ortho)),
-                face_halfwidth=cub.radius, z_radius=zrad,
+                face_halfwidth=cub.radius, z_radius=zrad, key=f.center_units,
             )
             piece.z = _cheapest_translate(piece, cand, wpts, w, pieces)
             pieces.append(piece)
-    omap = OpeningMap(pieces=pieces)
+    if target == "U":
+        pieces = _u_pieces(cls, ell, pieces)
+    out, sob_constants = _compose_opening(u, cls, ell, pieces)
+    return out, OpeningMap(pieces=pieces), sob_constants
+
+
+def _u_pieces(cls, ell, pieces):
+    """The pieces of the faces of the U cubes, in their order in ``pieces``."""
+    cub = cls.cubication
+    keys = {f.center_units for cu in cls.padded for j in range(ell + 1) for f in cub.cube_faces(cu, j)}
+    return [pc for pc in pieces if pc.key in keys]
+
+
+def _compose_opening(u, cls, ell, pieces):
+    """u composed with the opening pieces, and the per-face first-order
+    Sobolev estimate constants on the ell-faces among them."""
+    r = cls.cubication.radius
+    R = cls.rho * r
     rows = _support_rows(
         u, [pc.support_lo for pc in pieces], [pc.support_hi for pc in pieces],
         inflate=(ell + 1) * 4.0 * R,
     )
-    out = _compose(u, omap.apply, rows=rows)
-    # per-face first-order Sobolev estimate constants on the ell-faces
+    out = _compose(u, OpeningMap(pieces=pieces).apply, rows=rows)
+    du_in = finite_difference(u, 1)
     du_out = finite_difference(out, 1)
     kp = cls.k * cls.p
     wq = u.weights().reshape(-1)
     keep = (~(du_in.excluded | du_out.excluded)).reshape(-1)
     mag_in = du_in.magnitude().reshape(-1)
     mag_out = du_out.magnitude().reshape(-1)
-    faces = {}
-    for cu in cube_units:
-        for f in cub.cube_faces(cu, ell):
-            faces[f.center_units] = f
-    for key, f in faces.items():
-        c = cub.units_to_coords([f.center_units])[0]
-        rows_f = _support_rows(u, [c], [c], cub.radius + 2.0 * R)
+    sob_constants = {}
+    for pc in pieces:
+        if len(pc.span) != ell:
+            continue
+        rows_f = _support_rows(u, [pc.center], [pc.center], r + 2.0 * R)
         rows_f = rows_f[keep[rows_f]]
         denom = float(np.sum(wq[rows_f] * mag_in[rows_f] ** kp)) ** (1.0 / kp)
         numer = float(np.sum(wq[rows_f] * mag_out[rows_f] ** kp)) ** (1.0 / kp)
         if denom > 1e-12:
-            sob_constants[key] = numer / denom
-    return out, omap, sob_constants
+            sob_constants[pc.key] = numer / denom
+    return out, sob_constants
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +632,7 @@ def apply_thickening(u, cls, ell=None, mu=0.25, k=1, p=1.5, profile=None):
         return u.with_values(u.values.copy()), []
     if profile is None:
         profile = thickening_profile(1.0 - mu / 2.0, 1.0 - mu / 4.0)
-    centers = cls.dual_points()
+    centers = cls.u_cube_centers()
     pieces = [
         _RadialPiece(center=c, scale=cls.cubication.radius, profile=profile, norm="inf")
         for c in centers
@@ -864,8 +864,8 @@ def _generic_inner_box(u, eta):
 
 
 def run_pipeline(u, params):
-    """classify -> open (U and S variants) -> adaptive smooth -> project ->
-    thicken -> extend-or-keep (S^1) -> shrink -> project."""
+    """classify -> open (the full skeleton, and its U part) -> adaptive smooth
+    -> project -> thicken -> extend-or-keep (S^1) -> shrink -> project."""
     if u.target is None or u.nu != u.m:
         raise AdmissibilityViolation("pipeline expects an S^{m-1}-valued field on an m-box")
     if params.k * params.p >= u.m:
@@ -876,25 +876,17 @@ def run_pipeline(u, params):
     stages = []
     k, p = params.k, params.p
 
-    def record(name, fld, prev, **extra):
+    def record(name, fld, prev, atoms=None, **extra):
+        """One stage record; ``atoms`` is the stage's sweep if the caller has it."""
         d_in = sobolev_distance(fld, u, k=k, p=p)
-        d_prev = sobolev_distance(fld, prev, k=k, p=p)
-        atoms = []
-        if fld.target is not None:
+        d_prev = d_in if prev is u else sobolev_distance(fld, prev, k=k, p=p)
+        if atoms is None and fld.target is not None:
             try:
                 atoms = cell_degree_sweep(fld).atoms
             except Undersampled as e:
                 extra["atoms_error"] = f"Undersampled: {e}"
-        stages.append(
-            StageRecord(
-                stage=name,
-                distance_to_input=d_in.value,
-                distance_to_prev=d_prev.value,
-                excluded_volume=d_in.excluded_volume,
-                atoms=atoms,
-                extra=extra,
-            )
-        )
+        stages.append(StageRecord(stage=name, distance_to_input=d_in.value, distance_to_prev=d_prev.value,
+                                  excluded_volume=d_in.excluded_volume, atoms=atoms or [], extra=extra))
 
     eta_r = params.eta / 2.0
     stage = "cubication"
@@ -907,12 +899,14 @@ def run_pipeline(u, params):
 
         stage = "open"
         w = maximal_function_detector(u, p=k * p)
-        u_op, _, sob_u = open_on_skeleton(u, cls, "U", ell, w, seed=params.seed)
-        u_fop, _, _ = open_on_skeleton(u, cls, "S", ell, w, seed=params.seed)
-        # dual-opening consistency on U^m + Q_{rho eta/2}
+        u_fop, omap, _ = open_on_skeleton(u, cls, "S", ell, w, seed=params.seed)
+        u_op, sob_u = _compose_opening(u, cls, ell, _u_pieces(cls, ell, omap.pieces))
+        # dual-opening consistency on U^m + Q_{rho eta/2}: the translates are
+        # shared, so this checks that no piece of a face outside U reaches it
         nodes = u.nodes()
-        du = cls.dist_inf_to(nodes, "u")
-        sel = du <= params.rho * eta_r
+        d_u = cls.dist_inf_to(nodes, "u")
+        outside_u = d_u > 0
+        sel = d_u <= params.rho * eta_r
         fop_dev = float(np.max(np.abs(u_op.values[sel] - u_fop.values[sel]))) if np.any(sel) else 0.0
         record(stage, u_op, u, fop_consistency=fop_dev,
                sobolev_constant=max(sob_u.values(), default=0.0))
@@ -930,7 +924,6 @@ def run_pipeline(u, params):
             u_sm = adaptive_smooth(u_op, psi)
             norms = np.linalg.norm(u_sm.values, axis=-1)
             off = np.abs(norms - 1.0)
-            outside_u = cls.dist_inf_to(nodes, "u") > 0
             if not np.any(outside_u) or float(np.max(off[outside_u])) <= params.iota:
                 break
             s_par /= 2.0
@@ -940,9 +933,8 @@ def run_pipeline(u, params):
 
         stage = "project"
         vals = u_sm.values.copy()
-        sel3 = outside_u
-        nn = np.linalg.norm(vals[sel3], axis=-1, keepdims=True)
-        vals[sel3] = vals[sel3] / np.where(nn > 1e-12, nn, 1.0)
+        nn = np.linalg.norm(vals[outside_u], axis=-1, keepdims=True)
+        vals[outside_u] = vals[outside_u] / np.where(nn > 1e-12, nn, 1.0)
         u_pr = u_sm.with_values(vals, target=None)
         record(stage, u_pr, u_sm)
 
@@ -974,14 +966,13 @@ def run_pipeline(u, params):
 
         stage = "final_project"
         u_fin = project_to_sphere(u_sh.with_values(u_sh.values, target=None), iota=min(0.9, 2 * params.iota))
-        final_report = cell_degree_sweep(u_fin)
-        record(stage, u_fin, u_sh)
+        final_atoms = cell_degree_sweep(u_fin).atoms
+        record(stage, u_fin, u_sh, atoms=final_atoms)
     except (StageError, ValidationError):
         raise
     except Exception as e:
         raise StageError(stage, params.to_dict(), e)
 
-    final_atoms = final_report.atoms
     obstructed = bool(final_atoms)
     final_class = "R_0" if obstructed else "smooth"
     d_final = stages[-1].distance_to_input

@@ -1,4 +1,4 @@
-"""Golden reports: six CLI commands whose output bytes must not change.
+"""Golden reports: seven CLI commands whose output bytes must not change.
 
 The files under ``tests/golden/`` hold the reports as the CLI printed them
 when they were recorded.  A refactor that is meant to keep every number must
@@ -9,12 +9,16 @@ CHANGES.md.
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
+from sobtop import builtin_field
 from sobtop.cli import main
+from sobtop.geometry import Cubication
+from sobtop.pipeline import _generic_inner_box
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -27,6 +31,8 @@ CORPUS = {
     "pipeline_radial_96_eta0.25.json": ["pipeline", "--input", "radial", "--dims", "96", "--eta", "0.25"],
     "pipeline_dipole_128_eta0.25.csv": ["pipeline", "--input", "dipole", "--dims", "128", "--eta", "0.25",
                                         "--format", "csv"],
+    # every cube is bad, so the U cubes are the whole cubication
+    "pipeline_dipole_96_eta0.5.json": ["pipeline", "--input", "dipole", "--dims", "96", "--eta", "0.5"],
 }
 
 
@@ -41,6 +47,14 @@ def report(argv):
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_cli_report_matches_golden(name):
     assert report(CORPUS[name]) == (GOLDEN / name).read_text()
+
+
+def test_golden_u_cubes_cover_the_cubication():
+    classify = json.loads((GOLDEN / "pipeline_dipole_96_eta0.5.json").read_text())["stages"][0]
+    u = builtin_field("dipole", (96, 96))
+    cub = Cubication(_generic_inner_box(u, 0.5), 0.5)
+    assert classify["n_bad"] >= 1
+    assert classify["n_u"] == len(cub.cube_units)
 
 
 if __name__ == "__main__":

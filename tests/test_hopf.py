@@ -1,10 +1,12 @@
+import copy
 import hashlib
 
 import numpy as np
 import pytest
 
 from sobtop import DECSphere3, hopf_linking, hopf_whitehead
-from sobtop.builtins import hopf_fibration
+from sobtop.builtins import hopf_fibration, hopf_map
+from sobtop.cli import main
 from sobtop.errors import NonClosedForm
 from sobtop.fields import SampledSphereMap
 from sobtop.geometry import TriangulatedSphere
@@ -118,3 +120,30 @@ def test_non_closed_form_rejected():
 
 def test_dec_reuse_is_cached():
     assert dec_sphere(2) is dec_sphere(2)
+
+
+def test_hopf_whitehead_rebuilds_dec_for_relabelled_sphere():
+    """A complex with as many vertices but other simplices is not reused."""
+    sphere = TriangulatedSphere(3, 2)
+    perm = np.random.default_rng(1).permutation(len(sphere.vertices))
+    relabelled = copy.copy(sphere)
+    relabelled.vertices = sphere.vertices[perm]
+    relabelled.simplices = np.argsort(perm)[sphere.simplices]
+    expected = hopf_whitehead(SampledSphereMap(sphere=sphere, values=hopf_map(sphere.vertices)))
+    v = SampledSphereMap(sphere=relabelled, values=hopf_map(relabelled.vertices))
+    assert abs(hopf_whitehead(v) - expected) < 1e-6
+    assert abs(hopf_whitehead(v, dec=DECSphere3(sphere)) - expected) < 1e-6
+
+
+def test_cli_hopf_triangulates_once(monkeypatch, capsys):
+    built = []
+    init = TriangulatedSphere.__init__
+
+    def counted(self, dim, refinement):
+        built.append((dim, refinement))
+        init(self, dim, refinement)
+
+    dec_sphere.cache_clear()
+    monkeypatch.setattr(TriangulatedSphere, "__init__", counted)
+    assert main(["hopf", "--refinement", "2"]) == 0
+    assert built == [(3, 2)]

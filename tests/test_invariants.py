@@ -224,6 +224,15 @@ def test_oracle_smooth_extendable():
     assert oracle_for("smooth_bump").extendable
 
 
+def test_oracle_screens_out_disks_near_the_singular_set():
+    """Disks that pass the detector but have a sample within one cell of a
+    vortex are screened out rather than raising CurveHitsSingularSet."""
+    v = oracle_for("dipole", dims=448, seed=23, disks=224)
+    assert v.label == "obstructed"
+    assert v.admissible == 220 and sum(d != 0 for _, d in v.degrees) == 34
+    assert sorted(d for _, d in v.atoms) == [-1, 1]
+
+
 def test_oracle_insufficient_disks():
     u = builtin_field("radial", (96, 96))
     w = maximal_function_detector(u, p=1.5)

@@ -20,9 +20,11 @@ from sobtop import (
     sobolev_distance,
     thickening_profile,
 )
-from sobtop.errors import AdmissibilityViolation, NoRoot, PsiTooSteep
+from sobtop.cli import main
+from sobtop.errors import AdmissibilityViolation, NoRoot, PsiTooSteep, Undersampled
 from sobtop.fields import finite_difference
 from sobtop.geometry import BoundaryParam, Cubication, TriangulatedSphere
+from sobtop import pipeline as pipeline_module
 from sobtop.pipeline import _generic_inner_box
 
 P = dict(alpha=0.05, iota=0.2, rho=0.25, k=1, p=1.5)
@@ -197,14 +199,51 @@ def test_open_on_skeleton_slab_constancy_and_identity():
     assert max(sob.values()) <= 20.0
 
 
-def test_open_full_and_bad_skeletons_agree_near_bad_cubes():
+@pytest.fixture(scope="module")
+def both_openings():
+    """The U and the full-skeleton opening of the dipole at 96^2, eta 0.25."""
     u, cls = classified(dims=96)
     w = maximal_function_detector(u, p=1.5)
-    a, _, _ = open_on_skeleton(u, cls, "U", 1, w, seed=0)
-    b, _, _ = open_on_skeleton(u, cls, "S", 1, w, seed=0)
+    return u, cls, open_on_skeleton(u, cls, "U", 1, w, seed=0), open_on_skeleton(u, cls, "S", 1, w, seed=0)
+
+
+def test_open_full_and_bad_skeletons_agree_near_bad_cubes(both_openings):
+    u, cls, (a, _, _), (b, _, _) = both_openings
     nodes = u.nodes()
     near = cls.dist_inf_to(nodes, "u") <= cls.rho * cls.cubication.radius
     assert np.array_equal(a.values[near], b.values[near])
+
+
+def test_u_opening_pieces_are_the_full_pieces_of_u_faces(both_openings):
+    _, cls, (_, u_map, _), (_, s_map, _) = both_openings
+    cub = cls.cubication
+    assert len(cls.padded) < len(cub.cube_units)
+    u_faces = {f.center_units for cu in cls.padded for j in (0, 1) for f in cub.cube_faces(cu, j)}
+    s_of_u = [pc for pc in s_map.pieces if pc.key in u_faces]
+    assert len(u_map.pieces) == len(s_of_u) == len(u_faces)
+    for a, b in zip(u_map.pieces, s_of_u):
+        assert np.array_equal(a.center, b.center) and a.span == b.span
+        assert np.array_equal(a.z, b.z)
+
+
+def test_pipeline_searches_each_skeleton_face_once(monkeypatch):
+    searches = []
+    classes = []
+    search, classify = pipeline_module._cheapest_translate, pipeline_module.classify_cubes
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    def kept(*args, **kwargs):
+        classes.append(classify(*args, **kwargs))
+        return classes[-1]
+
+    monkeypatch.setattr(pipeline_module, "_cheapest_translate", counted)
+    monkeypatch.setattr(pipeline_module, "classify_cubes", kept)
+    run_pipeline(builtin_field("dipole", (96, 96)), PipelineParams(eta=0.25, p=1.5, alpha=0.05))
+    cub = classes[0].cubication
+    assert len(searches) == len(cub.skeleton(0)) + len(cub.skeleton(1))
 
 
 def test_opening_preserves_enclosed_degree():
@@ -271,7 +310,7 @@ def test_thickening_mask_is_dual_skeleton():
     u, cls = classified("radial")
     out, _ = apply_thickening(u, cls, ell=1, mu=0.25, k=1, p=1.5)
     got = sorted(out.singular_mask.point_locations)
-    expected = sorted(tuple(c) for c in cls.dual_points())
+    expected = sorted(tuple(c) for c in cls.u_cube_centers())
     assert got == expected
 
 
@@ -448,6 +487,28 @@ def test_pipeline_s2_target_on_b3():
     assert rep.final_class == "R_0"
     assert len(rep.final_atoms) == 1 and rep.final_atoms[0][1] == 1
     assert rep.stages[0].extra["n_bad"] >= 1
+
+
+def test_pipeline_final_sweep_undersampled_fails_final_project(monkeypatch, capsys):
+    """The final sweep is not recorded as an atoms_error: an undersampled
+    final field fails the run in stage final_project (exit 3).  The thicken
+    stage projects first, final_project second."""
+    projected = []
+    project, sweep = pipeline_module.project_to_sphere, pipeline_module.cell_degree_sweep
+
+    def kept(*args, **kwargs):
+        projected.append(project(*args, **kwargs))
+        return projected[-1]
+
+    def undersampled(fld, *args, **kwargs):
+        if len(projected) == 2 and fld is projected[1]:
+            raise Undersampled("forced")
+        return sweep(fld, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "project_to_sphere", kept)
+    monkeypatch.setattr(pipeline_module, "cell_degree_sweep", undersampled)
+    assert main(["pipeline", "--input", "dipole", "--dims", "64", "--eta", "0.5"]) == 3
+    assert "stage 'final_project'" in capsys.readouterr().err
 
 
 def test_pipeline_reports_undersampled_atoms():

@@ -128,21 +128,37 @@ class DECSphere3:
         return float(np.einsum("te,ef,tf->", Ech, whitney_pairing_matrix(), Fom))
 
 
-@lru_cache(maxsize=1)
-def dec_sphere(refinement):
-    """DEC complex of TriangulatedSphere(3, refinement); the last one built is kept."""
-    return DECSphere3(TriangulatedSphere(3, refinement))
+class _KeptDEC:
+    """The DEC complex built last, kept for the next call at its refinement."""
+
+    def __init__(self):
+        self.dec = None
+
+    def __call__(self, refinement, sphere=None):
+        """DEC complex of a refinement-``refinement`` S^3: the kept one if it
+        has this refinement, else one built on ``sphere`` (default: a new
+        TriangulatedSphere(3, refinement)), which is then kept."""
+        if self.dec is None or self.dec.sphere.refinement != refinement:
+            self.dec = DECSphere3(TriangulatedSphere(3, refinement) if sphere is None else sphere)
+        return self.dec
+
+    def cache_clear(self):
+        self.dec = None
+
+
+dec_sphere = _KeptDEC()
 
 
 def hopf_whitehead(v, dec=None, tol=1e-8):
     """Whitehead integral of a sampled map S^3 -> S^2 via the Hodge system; a
-    given or cached ``dec`` is used only if its simplices are v's sphere's."""
+    given or kept ``dec`` is used only if its simplices are v's sphere's, and
+    a complex built here is built on v's sphere."""
     if isinstance(v, SampledSphereMap):
         sphere, values = v.sphere, v.values
     else:
         raise ValueError("expected a SampledSphereMap on a dim-3 sphere")
     if dec is None:
-        dec = dec_sphere(sphere.refinement)
+        dec = dec_sphere(sphere.refinement, sphere)
     if dec.sphere is not sphere and not np.array_equal(dec.sphere.simplices, sphere.simplices):
         dec = DECSphere3(sphere)
     omega = dec.area_cochain(values)

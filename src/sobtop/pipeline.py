@@ -247,15 +247,20 @@ def classify_cubes(u, cub, alpha=0.2, iota=0.2, rho=0.25, k=1, p=1.5):
         raise AdmissibilityViolation("cubication windows leave the field's box; pad the box")
     du = finite_difference(u, 1)
     mag = du.magnitude()
-    wq = u.weights() * (~du.excluded)
-    nodes = u.nodes()
+    energy = u.weights() * (~du.excluded) * mag**kp
+    axes = u.axes()
     scale = alpha / eta_r ** (u.m / kp - 1.0)
     values = {}
     bad = []
     units = cub.cube_units
     for cu, c in zip(units, centers):
-        sel = np.all(np.abs(nodes - c) <= pad, axis=-1)
-        norm_kp = float(np.sum(wq[sel] * mag[sel] ** kp)) ** (1.0 / kp)
+        # the window |nodes - c| <= pad is a box of whole index ranges; its
+        # raveled energies are the boolean gather's, in the same order
+        win = []
+        for x, ci in zip(axes, c):
+            idx = np.nonzero(np.abs(x - ci) <= pad)[0]
+            win.append(slice(idx[0], idx[-1] + 1) if len(idx) else slice(0, 0))
+        norm_kp = float(np.sum(energy[tuple(win)].ravel())) ** (1.0 / kp)
         val = scale * norm_kp
         values[cu] = val
         if val > iota:
@@ -282,9 +287,9 @@ def classify_cubes(u, cub, alpha=0.2, iota=0.2, rho=0.25, k=1, p=1.5):
     )
     # volume of E^m + Q_{2 rho eta_r} and the extracted constant of the bad-volume bound
     if bad_set:
-        d_bad = cls.dist_inf_to(nodes, "bad")
+        d_bad = cls.dist_inf_to(u.nodes(), "bad")
         cls.vol_bad_padded = float(np.sum(u.weights() * (d_bad <= 2.0 * rho * eta_r)))
-        total = float(np.sum(u.weights() * (~du.excluded) * mag**kp))
+        total = float(np.sum(energy))
         if total > 0:
             cls.bound_constant = cls.vol_bad_padded / (eta_r**kp * total)
     return cls
@@ -311,7 +316,9 @@ _STAGE_SCALES = {
 class OpeningPiece:
     """Cylindrical opening around one face: the orthogonal coordinates collapse
     to a translated point inside the sharp cylinder over the face, smoothly
-    blended to the identity in the orthogonal direction."""
+    blended to the identity in the orthogonal direction.  Every translation
+    lies within ``z_radius`` of 0 in the sup norm, so the piece moves only
+    points inside its support box."""
 
     center: np.ndarray
     span: tuple
@@ -330,50 +337,106 @@ class OpeningPiece:
         self.support_lo = self.center - hw
         self.support_hi = self.center + hw
 
-    def hits(self, pts):
-        return ((pts >= self.support_lo) & (pts <= self.support_hi)).all(axis=1)
-
-    def apply(self, pts, zs=None):
-        """The piece with every translation in ``zs`` (default: its own z) at
-        once, shape (len(zs), len(pts), m).  Points outside the active set
-        (the face's cylinder, |y + z| < outer) come back bitwise."""
-        zs = self.z[None, :] if zs is None else zs
+    def moves(self, pts, zs):
+        """The piece with every translation in ``zs`` at once: the mask
+        (len(zs), len(pts)) of its active set (the face's cylinder,
+        |y + z| < outer), and the new positions of the active entries in the
+        mask's C order.  Every other point stays where it is."""
         ortho = list(self.ortho)
         w = (pts[:, ortho] - self.center[ortho])[None, :, :] + zs[:, None, :]
         wn = np.max(np.abs(w), axis=2)
         active = wn < self.outer
         for ax in self.span:
             active &= np.abs(pts[:, ax] - self.center[ax]) <= self.face_halfwidth
-        out = np.broadcast_to(pts, (len(zs),) + pts.shape).copy()
-        if np.any(active):
-            lam = ramp(wn[active], self.inner, self.outer)
-            z = np.broadcast_to(zs[:, None, :], w.shape)[active]
-            sub = out[active]
-            sub[:, ortho] = self.center[ortho] + (lam[:, None] * w[active] - z)
-            out[active] = sub
-        return out
+        moved = np.broadcast_to(pts, active.shape + pts.shape[1:])[active]
+        lam = ramp(wn[active], self.inner, self.outer)
+        z = np.broadcast_to(zs[:, None, :], w.shape)[active]
+        moved[:, ortho] = self.center[ortho] + (lam[:, None] * w[active] - z)
+        return active, moved
+
+
+class _Tiles:
+    """A batch of points grouped by the cell of their first position in the
+    lattice of side ``side`` from ``origin`` (at or below every point), with
+    each cell's bounding box of the points' current positions, so that a box
+    query tests only the cells that can hold a hit."""
+
+    def __init__(self, pts, origin, side):
+        cell = np.floor((pts - origin) / side).astype(np.int64)
+        key = np.ravel_multi_index(tuple(cell.T), tuple(cell.max(axis=0) + 1))
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        self.start = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        self.count = np.diff(np.r_[self.start, len(key)])
+        self.cell = np.empty(len(pts), dtype=np.int64)
+        self.cell[self.order] = np.repeat(np.arange(len(self.start)), self.count)
+        self.lo = np.minimum.reduceat(pts[self.order], self.start, axis=0)
+        self.hi = np.maximum.reduceat(pts[self.order], self.start, axis=0)
+
+    def rows(self, lo, hi):
+        """Indices of the points in the cells whose box meets [lo, hi]."""
+        k = np.nonzero(((self.lo <= hi) & (self.hi >= lo)).all(axis=1))[0]
+        count = self.count[k]
+        first = np.repeat(self.start[k] - (np.cumsum(count) - count), count)
+        return self.order[first + np.arange(len(first))]
+
+    def moved(self, rows, pts):
+        """Widen the boxes of the cells of ``rows`` to their new positions."""
+        np.minimum.at(self.lo, self.cell[rows], pts)
+        np.maximum.at(self.hi, self.cell[rows], pts)
 
 
 @dataclass
 class OpeningMap:
+    """Opening pieces composed with the last one acting first.  The support
+    boxes are kept in arrays that ``append`` grows, so an application does
+    not rebuild them."""
+
     pieces: list
+
+    def __post_init__(self):
+        pieces, self.pieces = self.pieces, []
+        self._boxes = ()  # array (capacity, lo/hi, axis) once a piece is in
+        self._slack = 0.0  # the largest outer radius, the farthest a piece moves a point
+        for pc in pieces:
+            self.append(pc)
+
+    def append(self, piece):
+        """Add a piece; it acts before every piece already in the map."""
+        n = len(self.pieces)
+        if n == len(self._boxes):
+            grown = np.empty((max(16, 2 * n), 2, len(piece.center)))
+            if n:
+                grown[:n] = self._boxes
+            self._boxes = grown
+        self._boxes[n] = piece.support_lo, piece.support_hi
+        self._slack = max(self._slack, piece.outer)
+        self.pieces.append(piece)
 
     def apply(self, pts):
         """Compose the pieces, the last one acting first.  Pieces whose support
-        misses the points' bounding box (widened by the largest outer radius,
-        the farthest a piece moves a point) are skipped."""
+        misses the points' bounding box (widened by the largest outer radius)
+        are skipped, and each other piece tests only the points whose tile
+        box meets its support."""
         out = np.asarray(pts, dtype=float).copy()
-        if not self.pieces or len(out) == 0:
+        if not self.pieces or len(out) == 0 or self._slack <= 0:  # no outer radius: nothing moves
             return out
-        slack = max(pc.outer for pc in self.pieces)
-        lo = out.min(axis=0) - slack
-        hi = out.max(axis=0) + slack
-        los = np.stack([pc.support_lo for pc in self.pieces])
-        his = np.stack([pc.support_hi for pc in self.pieces])
-        for i in np.nonzero(((los <= hi) & (his >= lo)).all(axis=1))[0][::-1]:
-            cand = self.pieces[i].hits(out)
-            if np.any(cand):
-                out[cand] = self.pieces[i].apply(out[cand])[0]
+        los, his = self._boxes[: len(self.pieces)].transpose(1, 0, 2)
+        lo = out.min(axis=0) - self._slack
+        hi = out.max(axis=0) + self._slack
+        live = np.nonzero(((los <= hi) & (his >= lo)).all(axis=1))[0][::-1]
+        if len(live) == 0:
+            return out
+        tiles = _Tiles(out, lo, 2.0 * self._slack)
+        for i in live:
+            rows = tiles.rows(los[i], his[i])
+            if len(rows) == 0:
+                continue
+            piece = self.pieces[i]
+            active, moved = piece.moves(out[rows], piece.z[None, :])
+            rows = rows[active[0]]
+            out[rows] = moved
+            tiles.moved(rows, moved)
         return out
 
 
@@ -423,12 +486,22 @@ def _compose(u, coord_map, rows=None):
     return u.with_values(vals.reshape(u.values.shape))
 
 
-def _cheapest_translate(piece, cand, wpts, w, earlier=()):
+def _cheapest_translate(piece, cand, wpts, w, earlier=None):
     """The translation in ``cand`` whose opened window ``wpts``, after the
-    ``earlier`` pieces, carries the least detector mass (+inf counted as 1e30)."""
-    block = OpeningMap(list(earlier)).apply(piece.apply(wpts, cand).reshape(-1, wpts.shape[1]))
-    vals = w.interp(block)
-    vals = np.where(np.isfinite(vals), vals, 1e30).reshape(len(cand), -1)
+    ``earlier`` map, carries the least detector mass (+inf counted as 1e30).
+
+    A translate moves only the window points in its cylinder, so the earlier
+    map and the detector run once on the distinct points of the (translate,
+    point) block: the window points some translate leaves in place, then the
+    moved entries.  That is the block's own set of points, so the earlier
+    map's bounding-box prune is the same, and both act point by point."""
+    active, moved = piece.moves(wpts, cand)
+    kept = ~active.all(axis=0)
+    where = np.broadcast_to(np.cumsum(kept) - 1, active.shape).copy()
+    where[active] = np.count_nonzero(kept) + np.arange(len(moved))
+    pts = np.concatenate([wpts[kept], moved])
+    vals = w.interp(pts if earlier is None else earlier.apply(pts))
+    vals = np.where(np.isfinite(vals), vals, 1e30)[where]
     return cand[int(np.argmin(np.sum(vals, axis=1)))]
 
 
@@ -460,6 +533,8 @@ def open_on_skeleton(u, cls, target="U", ell=1, w=None, seed=0):
     of ``Cubication.skeleton``, each the cheapest of 64 draws seeded by its
     face, given the pieces before it.  Target 'U' composes the pieces of the
     U cubes' faces from that walk, so the two maps share every translate.
+    Returns the opened field, its map and, for target 'U' only, the per-face
+    Sobolev constants (the driver reads the 'S' field only near U).
     """
     if target not in ("U", "S"):
         raise ValueError("target must be 'U' or 'S'")
@@ -472,7 +547,7 @@ def open_on_skeleton(u, cls, target="U", ell=1, w=None, seed=0):
     cub = cls.cubication
     R = cls.rho * cub.radius
     nodes = u.nodes().reshape(-1, u.m)
-    pieces = []
+    omap = OpeningMap(pieces=[])
     for j in range(0, ell + 1):
         if j not in _STAGE_SCALES:
             raise NotImplementedError("opening implemented for face dimensions 0..2")
@@ -488,31 +563,40 @@ def open_on_skeleton(u, cls, target="U", ell=1, w=None, seed=0):
                 inner=inner, outer=outer, z=np.zeros(len(ortho)),
                 face_halfwidth=cub.radius, z_radius=zrad, key=f.center_units,
             )
-            piece.z = _cheapest_translate(piece, cand, wpts, w, pieces)
-            pieces.append(piece)
-    if target == "U":
-        pieces = _u_pieces(cls, ell, pieces)
-    out, sob_constants = _compose_opening(u, cls, ell, pieces)
-    return out, OpeningMap(pieces=pieces), sob_constants
+            piece.z = _cheapest_translate(piece, cand, wpts, w, omap)
+            omap.append(piece)
+    if target == "S":
+        return _compose_opening(u, cls, ell, omap), omap, {}
+    return _u_opening(u, cls, ell, omap)
 
 
-def _u_pieces(cls, ell, pieces):
-    """The pieces of the faces of the U cubes, in their order in ``pieces``."""
+def _u_opening(u, cls, ell, omap):
+    """The U part of a full-skeleton map (the pieces of the U cubes' faces,
+    in their order in ``omap``): u composed with it, the map, and its
+    per-face Sobolev constants."""
     cub = cls.cubication
     keys = {f.center_units for cu in cls.padded for j in range(ell + 1) for f in cub.cube_faces(cu, j)}
-    return [pc for pc in pieces if pc.key in keys]
+    u_map = OpeningMap(pieces=[pc for pc in omap.pieces if pc.key in keys])
+    out = _compose_opening(u, cls, ell, u_map)
+    return out, u_map, _sobolev_constants(u, out, cls, ell, u_map.pieces)
 
 
-def _compose_opening(u, cls, ell, pieces):
-    """u composed with the opening pieces, and the per-face first-order
-    Sobolev estimate constants on the ell-faces among them."""
-    r = cls.cubication.radius
-    R = cls.rho * r
+def _compose_opening(u, cls, ell, omap):
+    """u composed with the opening map."""
+    R = cls.rho * cls.cubication.radius
+    pieces = omap.pieces
     rows = _support_rows(
         u, [pc.support_lo for pc in pieces], [pc.support_hi for pc in pieces],
         inflate=(ell + 1) * 4.0 * R,
     )
-    out = _compose(u, OpeningMap(pieces=pieces).apply, rows=rows)
+    return _compose(u, omap.apply, rows=rows)
+
+
+def _sobolev_constants(u, out, cls, ell, pieces):
+    """The per-face first-order Sobolev estimate constants of the opened
+    field ``out`` on the ell-faces among the pieces."""
+    r = cls.cubication.radius
+    R = cls.rho * r
     du_in = finite_difference(u, 1)
     du_out = finite_difference(out, 1)
     kp = cls.k * cls.p
@@ -530,7 +614,7 @@ def _compose_opening(u, cls, ell, pieces):
         numer = float(np.sum(wq[rows_f] * mag_out[rows_f] ** kp)) ** (1.0 / kp)
         if denom > 1e-12:
             sob_constants[pc.key] = numer / denom
-    return out, sob_constants
+    return sob_constants
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +984,7 @@ def run_pipeline(u, params):
         stage = "open"
         w = maximal_function_detector(u, p=k * p)
         u_fop, omap, _ = open_on_skeleton(u, cls, "S", ell, w, seed=params.seed)
-        u_op, sob_u = _compose_opening(u, cls, ell, _u_pieces(cls, ell, omap.pieces))
+        u_op, _, sob_u = _u_opening(u, cls, ell, omap)
         # dual-opening consistency on U^m + Q_{rho eta/2}: the translates are
         # shared, so this checks that no piece of a face outside U reaches it
         nodes = u.nodes()

@@ -147,3 +147,21 @@ def test_cli_hopf_triangulates_once(monkeypatch, capsys):
     monkeypatch.setattr(TriangulatedSphere, "__init__", counted)
     assert main(["hopf", "--refinement", "2"]) == 0
     assert built == [(3, 2)]
+
+
+def test_hopf_whitehead_builds_dec_on_the_samples_sphere(monkeypatch):
+    """On a cold cache the complex is built on the sample's own sphere: S^3
+    is not triangulated a second time."""
+    v = hopf_fibration(3)
+    built = []
+    init = TriangulatedSphere.__init__
+
+    def counted(self, dim, refinement):
+        built.append((dim, refinement))
+        init(self, dim, refinement)
+
+    dec_sphere.cache_clear()
+    monkeypatch.setattr(TriangulatedSphere, "__init__", counted)
+    assert abs(hopf_whitehead(v) - 1.0) < 0.05
+    assert built == []
+    assert dec_sphere(3).sphere is v.sphere

@@ -26,6 +26,7 @@ from sobtop.fields import finite_difference
 from sobtop.geometry import BoundaryParam, Cubication, TriangulatedSphere
 from sobtop import pipeline as pipeline_module
 from sobtop.pipeline import _generic_inner_box
+from sobtop.util import ramp
 
 P = dict(alpha=0.05, iota=0.2, rho=0.25, k=1, p=1.5)
 
@@ -94,6 +95,40 @@ def test_classify_radial_scale_invariant_bad_cube():
         assert containing
         vals.append(max(cls.values[cu] for cu in containing))
     assert abs(vals[1] - vals[0]) <= 0.25 * max(vals)
+
+
+def _classify_values_full_masks(u, cub, alpha, rho, k, p):
+    """The window norms of ``classify_cubes`` as first written: one
+    full-grid boolean mask per cube."""
+    kp = k * p
+    du = finite_difference(u, 1)
+    mag = du.magnitude()
+    wq = u.weights() * (~du.excluded)
+    nodes = u.nodes()
+    pad = cub.radius * (1.0 + 2.0 * rho)
+    scale = alpha / cub.radius ** (u.m / kp - 1.0)
+    values = {}
+    for cu, c in zip(cub.cube_units, cub.cubes):
+        sel = np.all(np.abs(nodes - c) <= pad, axis=-1)
+        values[cu] = scale * float(np.sum(wq[sel] * mag[sel] ** kp)) ** (1.0 / kp)
+    return values, float(np.sum(u.weights() * (~du.excluded) * mag**kp))
+
+
+@pytest.mark.parametrize("name, dims, eta, params", [
+    ("dipole", (138, 138), 0.25, P),
+    ("radial", (24, 24, 24), 0.5, dict(P, alpha=0.1, p=2.5)),
+])
+def test_classify_window_ranges_match_full_masks(name, dims, eta, params):
+    u = builtin_field(name, dims)
+    cub = Cubication(_generic_inner_box(u, eta), eta)
+    cls = classify_cubes(u, cub, **params)
+    values, total = _classify_values_full_masks(u, cub, params["alpha"], params["rho"], params["k"], params["p"])
+    assert list(cls.values) == list(values)
+    assert all(cls.values[cu] == values[cu] for cu in values)
+    assert cls.bad == tuple(sorted(cu for cu, v in values.items() if v > params["iota"]))
+    assert cls.bad
+    r = cub.radius
+    assert cls.bound_constant == cls.vol_bad_padded / (r ** (params["k"] * params["p"]) * total)
 
 
 def test_classify_bad_volume_shrinks_like_eta_kp():
@@ -224,6 +259,123 @@ def test_u_opening_pieces_are_the_full_pieces_of_u_faces(both_openings):
     for a, b in zip(u_map.pieces, s_of_u):
         assert np.array_equal(a.center, b.center) and a.span == b.span
         assert np.array_equal(a.z, b.z)
+
+
+def _reference_piece_apply(pc, pts, zs):
+    """An opening piece with every translation in ``zs``, as the whole
+    (len(zs), len(pts), m) block; the code before ``OpeningPiece.moves``."""
+    ortho = list(pc.ortho)
+    w = (pts[:, ortho] - pc.center[ortho])[None, :, :] + zs[:, None, :]
+    wn = np.max(np.abs(w), axis=2)
+    active = wn < pc.outer
+    for ax in pc.span:
+        active &= np.abs(pts[:, ax] - pc.center[ax]) <= pc.face_halfwidth
+    out = np.broadcast_to(pts, (len(zs),) + pts.shape).copy()
+    if np.any(active):
+        lam = ramp(wn[active], pc.inner, pc.outer)
+        z = np.broadcast_to(zs[:, None, :], w.shape)[active]
+        sub = out[active]
+        sub[:, ortho] = pc.center[ortho] + (lam[:, None] * w[active] - z)
+        out[active] = sub
+    return out
+
+
+def _reference_map_apply(pieces, pts):
+    """``OpeningMap.apply`` before tiles: the same bounding-box prune, then
+    every surviving piece scans the whole batch for points in its support."""
+    out = np.asarray(pts, dtype=float).copy()
+    if not pieces or len(out) == 0:
+        return out
+    slack = max(pc.outer for pc in pieces)
+    lo = out.min(axis=0) - slack
+    hi = out.max(axis=0) + slack
+    los = np.stack([pc.support_lo for pc in pieces])
+    his = np.stack([pc.support_hi for pc in pieces])
+    for i in np.nonzero(((los <= hi) & (his >= lo)).all(axis=1))[0][::-1]:
+        pc = pieces[i]
+        hit = ((out >= pc.support_lo) & (out <= pc.support_hi)).all(axis=1)
+        if np.any(hit):
+            out[hit] = _reference_piece_apply(pc, out[hit], pc.z[None, :])[0]
+    return out
+
+
+def _reference_translate(piece, cand, wpts, w, earlier=None):
+    """The translate search on the full (translate, window point) block."""
+    block = _reference_piece_apply(piece, wpts, cand).reshape(-1, wpts.shape[1])
+    vals = w.interp(_reference_map_apply(earlier.pieces if earlier is not None else [], block))
+    vals = np.where(np.isfinite(vals), vals, 1e30).reshape(len(cand), -1)
+    return cand[int(np.argmin(np.sum(vals, axis=1)))]
+
+
+@pytest.fixture(scope="module")
+def checked_walk():
+    """The full-skeleton walk of the dipole at 138^2, eta 0.25, with every
+    search checked against the full-block search: (field, the S map, the
+    number of searches, the number whose translate differed)."""
+    u, cls = classified(dims=138)
+    w = maximal_function_detector(u, p=1.5)
+    search = pipeline_module._cheapest_translate
+    tally = {"searches": 0, "differ": 0}
+
+    def checked(piece, cand, wpts, w, earlier=None):
+        z = search(piece, cand, wpts, w, earlier)
+        tally["searches"] += 1
+        tally["differ"] += not np.array_equal(z, _reference_translate(piece, cand, wpts, w, earlier))
+        return z
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline_module, "_cheapest_translate", checked)
+        _, s_map, _ = open_on_skeleton(u, cls, "S", 1, w, seed=0)
+    cub = cls.cubication
+    assert tally["searches"] == len(cub.skeleton(0)) + len(cub.skeleton(1)) == len(s_map.pieces)
+    return u, s_map, tally
+
+
+def test_cheapest_translate_matches_full_block_search(checked_walk):
+    _, _, tally = checked_walk
+    assert tally["searches"] > 100
+    assert tally["differ"] == 0
+
+
+def test_opening_map_tiles_match_full_scans(checked_walk):
+    u, s_map, _ = checked_walk
+    nodes = u.nodes().reshape(-1, u.m)
+    out = s_map.apply(nodes)
+    assert np.count_nonzero(np.any(out != nodes, axis=1)) > 0.2 * len(nodes)
+    assert out.tobytes() == _reference_map_apply(s_map.pieces, nodes).tobytes()
+    # a 3-D map, with pieces around faces of dimension 0, 1 and 2
+    u3 = builtin_field("radial", (16, 16, 16))
+    cub = Cubication(_generic_inner_box(u3, 0.5), 0.5)
+    cls = classify_cubes(u3, cub, **dict(P, alpha=0.1, p=2.5))
+    _, s3, _ = open_on_skeleton(u3, cls, "S", 2, seed=0)
+    assert {len(pc.span) for pc in s3.pieces} == {0, 1, 2}
+    nodes3 = u3.nodes().reshape(-1, 3)
+    out3 = s3.apply(nodes3)
+    assert np.any(out3 != nodes3)
+    assert out3.tobytes() == _reference_map_apply(s3.pieces, nodes3).tobytes()
+
+
+def test_opening_map_follows_points_out_of_their_tile():
+    """A piece moves a point out of its tile's first box and into the
+    support of a piece that acts next, whose support misses that box."""
+    from sobtop.pipeline import OpeningMap, OpeningPiece
+
+    first = OpeningPiece(center=np.zeros(2), span=(), ortho=(0, 1), inner=0.1, outer=1.0,
+                         z=np.array([0.5, 0.0]), face_halfwidth=0.0, z_radius=0.5)
+    second = OpeningPiece(center=np.array([-0.5, 0.0]), span=(), ortho=(0, 1), inner=0.1, outer=0.4,
+                          z=np.zeros(2), face_halfwidth=0.0, z_radius=0.05)
+    pts = np.array([[0.1, 0.0], [1.9, 1.9]])
+    once = OpeningMap([first]).apply(pts)
+    assert -0.2 < once[0, 0] < 0.0 and second.support_hi[0] < pts[:, 0].min()
+    out = OpeningMap([second, first]).apply(pts)
+    assert out[0, 0] != once[0, 0]
+    assert out.tobytes() == _reference_map_apply([second, first], pts).tobytes()
+
+
+def test_full_skeleton_opening_has_no_constants(both_openings):
+    """Only the U opening, which the open stage reports, gets Sobolev constants."""
+    _, _, (_, _, sob_u), (_, _, sob_s) = both_openings
+    assert sob_u and sob_s == {}
 
 
 def test_pipeline_searches_each_skeleton_face_once(monkeypatch):

@@ -3,23 +3,24 @@
 Two independent routes:
 
 * hopf_whitehead: discrete exterior calculus on a triangulated S^3.  The
-  pulled-back area 2-cochain is exactly closed (solid angles of a tetrahedron
-  boundary sum to a multiple of 4*pi), a potential 1-cochain is produced by
-  conjugate gradients in the minimum-norm gauge (which satisfies the
-  combinatorial coexactness constraint identically), and the invariant is the
-  Whitney-form wedge pairing, whose per-tet coefficients are universal
-  rational constants.
+  pulled-back area 2-cochain omega is exactly closed (solid angles of a
+  tetrahedron boundary sum to a multiple of 4*pi), a potential 1-cochain chi
+  with d1 chi = omega is read off in the tree-cotree gauge (no iterations:
+  one back-substitution through a peel of the 2-skeleton planned with the
+  complex), and the invariant is the Whitney-form wedge pairing, whose
+  per-tet coefficients are universal rational constants.  The pairing of a
+  closed omega does not depend on the gauge of chi.
 
 * hopf_linking: marching-tetrahedra extraction of two regular-value preimage
   curves followed by the Gauss linking integral after stereographic projection.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.linalg import cg  # noqa: F401  not called here; bench/layers.py wraps this name under --trace 1
 
 from .errors import NonClosedForm, NonRegularValue, SolverDivergence
 from .fields import SampledSphereMap
@@ -33,6 +34,8 @@ _FACE_BOUNDARY_SIGNS = (-1.0, 1.0, -1.0, 1.0)
 _FACE_EDGES = tuple(
     tuple(_LOCAL_EDGES.index(e) for e in ((d, g), (c, g), (c, d))) for c, d, g in _LOCAL_FACES
 )
+_ONCE = 1 << 40  # one holding face in the peel's per-edge counts, above any sum of face indices
+_CLOSURE_TOL = 1e-6  # largest |d2 omega| accepted, and largest |d1 chi - omega| returned
 
 
 @lru_cache(maxsize=1)
@@ -61,15 +64,21 @@ def whitney_pairing_matrix():
 
 
 class DECSphere3:
-    """Incidence tables and coboundaries of a triangulated S^3.
+    """Incidence tables, coboundaries and potential plan of a triangulated S^3.
 
     ``faces`` and ``edges`` are the distinct triangles and edges, each row
     sorted and the rows in lexicographic order.  ``tet_faces`` (T, 4) and
     ``tet_edges`` (T, 6) index them from every tet in ``_LOCAL_FACES`` and
     ``_LOCAL_EDGES`` order; ``face_signs`` and ``edge_signs`` are -1 where the
     tet's vertex order runs against the sorted one.  ``d0``, ``d1`` and ``d2``
-    are the coboundaries and ``d1 d1^T`` is the cached normal operator of the
-    minimum-norm potential.
+    are the coboundaries.
+
+    The tree-cotree plan for d1 chi = omega: ``tree_faces`` marks the T - 1
+    faces of a breadth-first spanning tree of the dual graph (tets joined
+    through faces).  The other faces are peeled off in waves, each face with
+    an edge that no other face still left holds: ``peel_faces[i]`` with
+    ``peel_edges[i]``, wave w being ``peel_waves[w]:peel_waves[w + 1]``.  The
+    V - 1 edges never paired span the vertices and carry chi = 0.
     """
 
     def __init__(self, sphere):
@@ -82,8 +91,9 @@ class DECSphere3:
         self.tet_faces, first_face = distinct_simplices(local_faces, V)
         self.tet_edges, first_edge = distinct_simplices(local_edges, V)
         self.face_signs, self.edge_signs = sort_parity(local_faces), sort_parity(local_edges)
-        self.faces = np.sort(local_faces.reshape(-1, 3)[first_face], axis=1)
-        self.edges = np.sort(local_edges.reshape(-1, 2)[first_edge], axis=1)
+        # row and flat gathers by np.take: several times faster than [] on these sizes
+        self.faces = np.sort(np.take(local_faces.reshape(-1, 3), first_face, axis=0), axis=1)
+        self.edges = np.sort(np.take(local_edges.reshape(-1, 2), first_edge, axis=0), axis=1)
         E, F = len(self.edges), len(self.faces)
         self.d0 = sp.csr_matrix(
             (
@@ -94,12 +104,10 @@ class DECSphere3:
         )
         # each face's boundary, read off the first tet that has it
         t, slot = np.divmod(first_face, 4)
-        fe = np.array(_FACE_EDGES)[slot]
-        t = t[:, None]
-        signs = self.face_signs[t, slot[:, None]] * self.edge_signs[t, fe] * [1.0, -1.0, 1.0]
-        self.d1 = sp.csr_matrix(
-            (signs.ravel(), (np.repeat(np.arange(F), 3), self.tet_edges[t, fe].ravel())), shape=(F, E)
-        )
+        at = 6 * t[:, None] + np.take(np.array(_FACE_EDGES), slot, axis=0)  # flat (tet, local edge)
+        signs = np.take(self.face_signs, first_face)[:, None] * np.take(self.edge_signs, at) * [1.0, -1.0, 1.0]
+        face_edges = np.take(self.tet_edges, at)
+        self.d1 = sp.csr_matrix((signs.ravel(), (np.repeat(np.arange(F), 3), face_edges.ravel())), shape=(F, E))
         self.d2 = sp.csr_matrix(
             (
                 (self.face_signs * _FACE_BOUNDARY_SIGNS).ravel(),
@@ -107,19 +115,60 @@ class DECSphere3:
             ),
             shape=(T, F),
         )
-        self._A = (self.d1 @ self.d1.T).tocsr()  # normal operator for the min-norm potential
+        self._plan_peel(face_edges, signs)
+
+    def _plan_peel(self, face_edges, signs):
+        F, E, T = len(self.faces), len(self.edges), len(self.sphere.simplices)
+        tets = self.d2.tocsc().indices.reshape(F, 2)  # the two tets of each face
+        across = (tets[:, 0] + tets[:, 1])[self.tet_faces] - np.arange(T)[:, None]  # the tet across each face
+        dual = sp.csr_matrix((np.ones(4 * T), across.ravel(), np.arange(0, 4 * T + 1, 4)), shape=(T, T))
+        _, pred = breadth_first_order(dual, 0)
+        self.tree_faces = (pred[tets[:, 0]] == tets[:, 1]) | (pred[tets[:, 1]] == tets[:, 0])
+        # per edge, the number of faces left that hold it (in units of _ONCE)
+        # plus the sum of their indices: an edge held once is free, and the
+        # sum is its face; float64 weights add these integers exactly
+        left = np.flatnonzero(~self.tree_faces)
+        held = np.bincount(np.take(face_edges, left, axis=0).ravel(), np.repeat(left + _ONCE, 3), E).astype(np.int64)
+        slot = np.empty(F, dtype=np.intp)
+        free, waves = np.flatnonzero(held // _ONCE == 1), []
+        while free.size:
+            f = held[free] - _ONCE
+            slot[f] = np.arange(len(f))
+            first = slot[f] == np.arange(len(f))  # one free edge per face
+            f = f[first]
+            waves.append((f, free[first]))
+            fe = np.take(face_edges, f, axis=0).ravel()
+            np.subtract.at(held, fe, np.repeat(f + _ONCE, 3))
+            free = fe[held[fe] // _ONCE == 1]
+        if held.any():
+            raise SolverDivergence(f"tree-cotree peel stuck with {np.count_nonzero(held)} edges held")
+        self.peel_faces, self.peel_edges = (np.concatenate(a) for a in zip(*waves))
+        self.peel_waves = np.cumsum([0] + [len(f) for f, _ in waves])
+        fe, fs = np.take(face_edges, self.peel_faces, axis=0), np.take(signs, self.peel_faces, axis=0)
+        # chi(e) = s (omega(f) - the other terms of f), s the sign of e in f;
+        # e's own term reads 0 until its wave, so it may stay in the sum
+        self._peel_sign = fs[fe == self.peel_edges[:, None]]
+        self._peel_terms, self._peel_coefs = fe, -self._peel_sign[:, None] * fs
 
     def area_cochain(self, values):
         """Pulled-back normalized S^2 area form on every canonical face."""
         v = values / np.linalg.norm(values, axis=-1, keepdims=True)
         return solid_angles(v[self.faces[:, 0]], v[self.faces[:, 1]], v[self.faces[:, 2]]) / (4.0 * np.pi)
 
-    def solve_potential(self, omega, tol=1e-8, maxiter=20000):
-        """chi with d1 chi = omega and d0^T chi = 0 (least squares, conjugate gradient)."""
-        y, info = cg(self._A, omega, rtol=tol, atol=0.0, maxiter=maxiter)
-        if info != 0:
-            raise SolverDivergence(f"conjugate gradient returned info={info}")
-        return self.d1.T @ y
+    def solve_potential(self, omega):
+        """chi with d1 chi = omega, by the peel in reverse wave order; raises
+        SolverDivergence if omega is not closed enough for the dual-tree faces."""
+        chi = np.zeros(len(self.edges))
+        rhs = self._peel_sign * omega[self.peel_faces]
+        w = self.peel_waves
+        for a, b in zip(w[-2::-1], w[:0:-1]):
+            chi[self.peel_edges[a:b]] = rhs[a:b] + np.einsum(
+                "ij,ij->i", self._peel_coefs[a:b], chi[self._peel_terms[a:b]]
+            )
+        residual = np.abs(self.d1 @ chi - omega).max()
+        if residual > _CLOSURE_TOL:
+            raise SolverDivergence(f"potential residual |d1 chi - omega| = {residual:.2e}")
+        return chi
 
     def wedge_pair(self, chi, omega):
         """sum over tets of (Whitney chi) ^ (Whitney omega)."""
@@ -149,8 +198,8 @@ class _KeptDEC:
 dec_sphere = _KeptDEC()
 
 
-def hopf_whitehead(v, dec=None, tol=1e-8):
-    """Whitehead integral of a sampled map S^3 -> S^2 via the Hodge system; a
+def hopf_whitehead(v, dec=None):
+    """Whitehead integral of a sampled map S^3 -> S^2 in the tree-cotree gauge; a
     given or kept ``dec`` is used only if its simplices are v's sphere's, and
     a complex built here is built on v's sphere."""
     if isinstance(v, SampledSphereMap):
@@ -163,9 +212,9 @@ def hopf_whitehead(v, dec=None, tol=1e-8):
         dec = DECSphere3(sphere)
     omega = dec.area_cochain(values)
     closure = np.abs(dec.d2 @ omega).max()
-    if closure > 1e-6:
+    if closure > _CLOSURE_TOL:
         raise NonClosedForm(f"pulled-back 2-cochain not closed: |d omega| = {closure:.2e}")
-    chi = dec.solve_potential(omega, tol=tol)
+    chi = dec.solve_potential(omega)
     return dec.wedge_pair(chi, omega)
 
 

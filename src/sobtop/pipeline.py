@@ -982,16 +982,19 @@ def run_pipeline(u, params):
         record(stage, u, u, n_bad=len(cls.bad), n_u=len(cls.padded), bound_constant=cls.bound_constant)
 
         stage = "open"
-        w = maximal_function_detector(u, p=k * p)
-        u_fop, omap, _ = open_on_skeleton(u, cls, "S", ell, w, seed=params.seed)
-        u_op, _, sob_u = _u_opening(u, cls, ell, omap)
-        # dual-opening consistency on U^m + Q_{rho eta/2}: the translates are
-        # shared, so this checks that no piece of a face outside U reaches it
         nodes = u.nodes()
         d_u = cls.dist_inf_to(nodes, "u")
         outside_u = d_u > 0
-        sel = d_u <= params.rho * eta_r
-        fop_dev = float(np.max(np.abs(u_op.values[sel] - u_fop.values[sel]))) if np.any(sel) else 0.0
+        if cls.padded:
+            w = maximal_function_detector(u, p=k * p)
+            u_fop, omap, _ = open_on_skeleton(u, cls, "S", ell, w, seed=params.seed)
+            u_op, _, sob_u = _u_opening(u, cls, ell, omap)
+            # dual-opening consistency on U^m + Q_{rho eta/2}: the translates are
+            # shared, so this checks that no piece of a face outside U reaches it
+            sel = d_u <= params.rho * eta_r
+            fop_dev = float(np.max(np.abs(u_op.values[sel] - u_fop.values[sel]))) if np.any(sel) else 0.0
+        else:  # no U cube: nothing is opened and no report reads the walk
+            u_op, sob_u, fop_dev = u.with_values(u.values.copy()), {}, 0.0
         record(stage, u_op, u, fop_consistency=fop_dev,
                sobolev_constant=max(sob_u.values(), default=0.0))
 

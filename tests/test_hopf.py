@@ -1,13 +1,19 @@
 import copy
 import hashlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import cg
 
 from sobtop import DECSphere3, hopf_linking, hopf_whitehead
 from sobtop.builtins import hopf_fibration, hopf_map
 from sobtop.cli import main
-from sobtop.errors import NonClosedForm
+from sobtop.errors import NonClosedForm, SolverDivergence
 from sobtop.fields import SampledSphereMap
 from sobtop.geometry import TriangulatedSphere
 from sobtop.hopf import dec_sphere, whitney_pairing_matrix
@@ -165,3 +171,67 @@ def test_hopf_whitehead_builds_dec_on_the_samples_sphere(monkeypatch):
     assert abs(hopf_whitehead(v) - 1.0) < 0.05
     assert built == []
     assert dec_sphere(3).sphere is v.sphere
+
+
+@pytest.mark.parametrize("refinement", [1, 2, 3, 4])
+def test_peel_pairs_every_cotree_face_once(refinement):
+    """The dual tree has T - 1 faces; the peel pairs each other face with its
+    own edge, and the V - 1 edges left over form a spanning tree."""
+    dec = DECSphere3(TriangulatedSphere(3, refinement))
+    V, E, T = len(dec.sphere.vertices), len(dec.edges), len(dec.sphere.simplices)
+    assert np.count_nonzero(dec.tree_faces) == T - 1
+    assert np.array_equal(np.sort(dec.peel_faces), np.flatnonzero(~dec.tree_faces))
+    assert len(np.unique(dec.peel_edges)) == len(dec.peel_edges)
+    assert dec.peel_waves[0] == 0 and dec.peel_waves[-1] == len(dec.peel_faces)
+    rest = np.setdiff1d(np.arange(E), dec.peel_edges)
+    assert len(rest) == V - 1
+    a, b = dec.edges[rest].T
+    graph = sp.csr_matrix((np.ones(len(rest)), (a, b)), shape=(V, V))
+    assert connected_components(graph, directed=False)[0] == 1
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"reverse": True}, {"squared": True}])
+def test_potential_solves_every_face(kwargs):
+    v = hopf_fibration(4, **kwargs)
+    dec = dec_sphere(4, v.sphere)
+    omega = dec.area_cochain(v.values)
+    assert np.abs(dec.d1 @ dec.solve_potential(omega) - omega).max() <= 1e-12
+
+
+@pytest.mark.parametrize("refinement", [3, 4])
+def test_whitehead_matches_min_norm_cg(refinement):
+    """The tree-cotree potential pairs to the min-norm (conjugate gradient on
+    d1 d1^T) potential's value: the pairing ignores the gauge."""
+    for kwargs in ({}, {"reverse": True}, {"squared": True}):
+        v = hopf_fibration(refinement, **kwargs)
+        dec = dec_sphere(refinement, v.sphere)
+        omega = dec.area_cochain(v.values)
+        y, info = cg((dec.d1 @ dec.d1.T).tocsr(), omega, rtol=1e-11, atol=0.0, maxiter=20000)
+        assert info == 0
+        reference = dec.wedge_pair(dec.d1.T @ y, omega)
+        assert abs(hopf_whitehead(v, dec=dec) - reference) <= 1e-9
+
+
+def test_potential_residual_is_checked():
+    """A spike on one face breaks closure: on a dual-tree face the peel leaves
+    it as that face's residual, on a cotree face it shows on a tree face."""
+    dec = DECSphere3(TriangulatedSphere(3, 2))
+    omega = dec.area_cochain(hopf_fibration(2).values)
+    dec.solve_potential(omega)
+    for face in (np.flatnonzero(dec.tree_faces)[7], dec.peel_faces[len(dec.peel_faces) // 2]):
+        spiked = omega.copy()
+        spiked[face] += 1e-3
+        with pytest.raises(SolverDivergence, match="residual"):
+            dec.solve_potential(spiked)
+
+
+def test_bench_hopf_traced_smoke():
+    """One short traced run of the benchmark's hopf workload passes its checks
+    (the tracer wraps sobtop.hopf.cg, so the name must stay)."""
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "hopf", "--seconds", "1", "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stderr
+    assert '"correct": true' in run.stdout

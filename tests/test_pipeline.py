@@ -617,6 +617,27 @@ def test_pipeline_smooth_input_is_smoothing_only():
     assert rep.final_distance <= 0.05 * norm
 
 
+def test_pipeline_without_u_cubes_skips_the_skeleton_walk(monkeypatch):
+    """With no U cube nothing is opened, so neither the detector nor the
+    skeleton walk runs, and the open stage reports zeros."""
+    calls = []
+
+    def never(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+        return record
+
+    monkeypatch.setattr(pipeline_module, "open_on_skeleton", never("open_on_skeleton"))
+    monkeypatch.setattr(pipeline_module, "maximal_function_detector", never("maximal_function_detector"))
+    u = builtin_field("smooth_bump", (96, 96))
+    rep = run_pipeline(u, PipelineParams(eta=0.25, p=1.5, alpha=0.05))
+    classify, open_stage = rep.stages[:2]
+    assert classify.extra["n_u"] == 0 and calls == []
+    assert open_stage.extra == {"fop_consistency": 0.0, "sobolev_constant": 0.0}
+    assert open_stage.distance_to_input == 0.0
+
+
 def test_pipeline_dipole_keeps_atoms_and_ledger():
     u = builtin_field("dipole", (128, 128))
     rep = run_pipeline(u, PipelineParams(eta=0.25, p=1.5, alpha=0.05))

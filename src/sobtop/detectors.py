@@ -40,13 +40,6 @@ class DetectorField:
         finite = np.isfinite(self.w)
         return float(np.sum(wq[finite] * self.w[finite]))
 
-    def __add__(self, other):
-        if self.dims != other.dims or self.box != other.box:
-            raise ValueError("detector grids differ")
-        return DetectorField(
-            self.box, self.dims, self.w + other.w, provenance=f"sum({self.provenance},{other.provenance})"
-        )
-
     def interp(self, points):
         """Multilinear interpolation; any +inf corner with positive weight gives +inf."""
         base, touch = np.moveaxis(multilinear(self._channels, self.box.lo, self.box.hi, self.dims, points), -1, 0)

@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import breadth_first_order
 from scipy.sparse.linalg import cg  # noqa: F401  not called here; bench/layers.py wraps this name under --trace 1
 
-from .errors import NonClosedForm, NonRegularValue, SolverDivergence
+from .errors import NonClosedForm, NonRegularValue, SolverDivergence, Undersampled
 from .fields import SampledSphereMap
 from .geometry import TriangulatedSphere, distinct_simplices, solid_angles, sort_parity
 
@@ -213,6 +213,16 @@ def hopf_whitehead(v, dec=None):
     omega = dec.area_cochain(values)
     closure = np.abs(dec.d2 @ omega).max()
     if closure > _CLOSURE_TOL:
+        # an edge between antipodal values has no defined solid angle
+        unit = values / np.linalg.norm(values, axis=-1, keepdims=True)
+        dots = np.einsum("ij,ij->i", unit[dec.edges[:, 0]], unit[dec.edges[:, 1]])
+        antipodal = np.nonzero(dots <= -1.0 + 1e-12)[0]
+        if len(antipodal):
+            a, b = dec.edges[antipodal[0]]
+            raise Undersampled(
+                f"{len(antipodal)} edges join antipodal values, the first between vertices {a} and {b}"
+                f" (|d omega| = {closure:.2e}); a finer refinement is needed"
+            )
         raise NonClosedForm(f"pulled-back 2-cochain not closed: |d omega| = {closure:.2e}")
     chi = dec.solve_potential(omega)
     return dec.wedge_pair(chi, omega)

@@ -15,7 +15,7 @@ from .detectors import fuglede_check
 from .errors import CurveHitsSingularSet, InsufficientAdmissibleDisks, Undersampled
 from .fields import SampledSphereMap, finite_difference, restrict_to_curve
 from .geometry import solid_angles
-from .util import bump, wrap_angle
+from .util import bump, pairwise_sq_dist, wrap_angle
 
 
 # ---------------------------------------------------------------------------
@@ -38,12 +38,12 @@ class TestForm:
 
     def grad(self, points):
         pts = np.atleast_2d(points)
-        d = pts - np.asarray(self.center)
-        q = np.sum(d * d, axis=-1) / self.radius**2
+        center = np.asarray(self.center)
+        q = pairwise_sq_dist(pts, center[None])[:, 0] / self.radius**2
         out = np.zeros_like(pts)
         inside = q < 1.0
         pref = -self.c * np.exp(-1.0 / (1.0 - q[inside])) / (1.0 - q[inside]) ** 2
-        out[inside] = pref[:, None] * 2.0 * d[inside] / self.radius**2
+        out[inside] = pref[:, None] * 2.0 * (pts[inside] - center) / self.radius**2
         return out
 
     @property
@@ -228,9 +228,11 @@ def _cell_degrees_3d(u):
     return deg, float(np.max(np.abs(total - deg))) if total.size else 0.0
 
 
-def cell_degree_sweep(u, forms=None, block_check=True):
-    """Locate Dirac atoms: per-cell degrees, merged into atoms, verified against
-    the Jacobian pairing battery."""
+def _cell_atoms(u):
+    """Per-cell degrees and the atoms they merge into: each connected cluster
+    of nonzero cells (3^m neighbourhood) with a nonzero total degree, at the
+    mean of its cell centres.  Returns (degrees, cell residual, atoms); raises
+    Undersampled when the cell degrees are not certified integers."""
     if u.m == 2:
         wind, resid = _plaquette_windings(u)
     elif u.m == 3:
@@ -239,10 +241,6 @@ def cell_degree_sweep(u, forms=None, block_check=True):
         raise ValueError("sweep supports m in {2,3}")
     if resid >= 0.25:
         raise Undersampled(f"cell degree residual {resid:.3f}")
-    blocks = None
-    if block_check and u.m == 2 and min(wind.shape) >= 2:
-        # degree on the boundary circle of every 2x2 cell block (additivity is exact)
-        blocks = wind[:-1, :-1] + wind[1:, :-1] + wind[:-1, 1:] + wind[1:, 1:]
     atoms = []
     labels, n = ndimage.label(wind != 0, structure=np.ones((3,) * u.m, dtype=int))
     axes = u.axes()
@@ -256,6 +254,17 @@ def cell_degree_sweep(u, forms=None, block_check=True):
         loc = tuple(float(np.mean(cell_centers[i][idx[:, i]])) for i in range(u.m))
         atoms.append((loc, deg))
     atoms.sort(key=lambda a: a[0])
+    return wind, resid, atoms
+
+
+def cell_degree_sweep(u, forms=None, block_check=True):
+    """Locate Dirac atoms: per-cell degrees, merged into atoms, verified against
+    the Jacobian pairing battery."""
+    wind, resid, atoms = _cell_atoms(u)
+    blocks = None
+    if block_check and u.m == 2 and min(wind.shape) >= 2:
+        # degree on the boundary circle of every 2x2 cell block (additivity is exact)
+        blocks = wind[:-1, :-1] + wind[1:, :-1] + wind[:-1, 1:] + wind[1:, 1:]
     pairings, vol_excl, residual = [], 0.0, 0.0
     if u.m == u.nu:
         if forms is None:
@@ -330,7 +339,8 @@ def extendability_oracle(u, disks, w, budget=None, min_admissible=8):
             max_rel = max(max_rel, abs(val))
             pairing_ok = pairing_ok and abs(val) <= t
     extendable = all_zero and pairing_ok
-    atoms = [] if extendable else cell_degree_sweep(u).atoms
+    # the sweep's atoms, without building the battery above a second time
+    atoms = [] if extendable else _cell_atoms(u)[2]
     return OracleVerdict(
         extendable=extendable,
         atoms=atoms,

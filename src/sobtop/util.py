@@ -127,10 +127,24 @@ def multilinear(values, lo, hi, dims, points):
     return out[..., 0] if scalar else out
 
 
+def pairwise_sq_dist(a, b):
+    """(len(a), len(b)) squared distances between the rows of a and b, (N, k) each.
+
+    Summed one channel at a time in channel order, which gives bit for bit
+    the sums of ``np.sum(d * d, axis=-1)`` on the (N, M, k) differences
+    without numpy's inner loop over a last axis of length k.
+    """
+    s = np.zeros((len(a), len(b)))
+    for c in range(a.shape[1]):
+        d = a[:, None, c] - b[None, :, c]
+        d *= d
+        s += d
+    return s
+
+
 def pairwise_mean_abs_diff(vals):
     """Mean over all ordered pairs (incl. diagonal) of |v_i - v_j|; vals (N,) or (N,k)."""
     v = np.asarray(vals, dtype=float)
     if v.ndim == 1:
         v = v[:, None]
-    d = v[:, None, :] - v[None, :, :]
-    return float(np.mean(np.sqrt(np.sum(d * d, axis=-1))))
+    return float(np.mean(np.sqrt(pairwise_sq_dist(v, v))))

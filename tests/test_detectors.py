@@ -102,7 +102,8 @@ def test_fuglede_arclength_and_additivity():
     v = fuglede_check(ones, g, budget=np.inf)
     assert abs(v.integral - 2 * np.pi * 0.4) <= 0.01 * 2 * np.pi * 0.4
     w2 = DetectorField(box, (48, 48), 2.0 * np.ones((48, 48)), provenance="two")
-    s = fuglede_check(ones + w2, g, budget=np.inf)
+    both = DetectorField(box, (48, 48), ones.w + w2.w, provenance="sum")
+    s = fuglede_check(both, g, budget=np.inf)
     assert abs(s.integral - (v.integral + fuglede_check(w2, g, budget=np.inf).integral)) < 1e-9
 
 

@@ -21,7 +21,7 @@ from sobtop.errors import (
     ValidationError,
 )
 from sobtop.geometry import BoundaryParam, TriangulatedSphere
-from sobtop.util import node_mesh
+from sobtop.util import node_mesh, pairwise_sq_dist
 
 
 def linear_field(dims=32):
@@ -275,3 +275,112 @@ def test_mollifier_normalization_and_symmetry(m):
     fine = surface * np.trapezoid(prof * r ** (m - 1), r) * phi.c
     assert abs(fine - 1.0) < 1e-8
     assert np.allclose(phi(pts), phi(-pts))
+
+
+# ---------------------------------------------------------------------------
+# The pairwise-distance kernel against the formulas it replaced (bit for bit)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pairwise_sq_dist_matches_last_axis_sum(k):
+    rng = np.random.default_rng(k)
+    a, b = rng.normal(size=(37, k)), rng.normal(size=(23, k))
+    d = a[:, None, :] - b[None, :, :]
+    assert np.array_equal(pairwise_sq_dist(a, b), np.sum(d * d, axis=-1))
+    assert np.array_equal(np.sqrt(pairwise_sq_dist(a, b)), np.linalg.norm(d, axis=-1))
+
+
+def full_scan_oscillation(v, radii, domain_mask=None, pair_cap=400, center_spacing_factor=0.5):
+    """mean_oscillation as one scan over every ball, each tested against the
+    whole grid; also returns whether some ball was strided by ``pair_cap``."""
+    pts = v.nodes().reshape(-1, v.m)
+    vals = v.values.reshape(-1, v.nu)
+    if domain_mask is not None:
+        keep = domain_mask.reshape(-1)
+        pts, vals = pts[keep], vals[keep]
+    out, strided = [], False
+    for rho in radii:
+        spacing = rho * center_spacing_factor
+        axes = [np.arange(v.box.lo[i], v.box.hi[i] + spacing / 2, spacing) for i in range(v.m)]
+        centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, v.m)
+        centers = np.concatenate([centers, pts[:: max(1, len(pts) // 512)]], axis=0)
+        best = 0.0
+        for c in centers:
+            d2 = np.sum((pts - c) ** 2, axis=1)
+            idx = np.nonzero(d2 <= rho * rho)[0]
+            if len(idx) < 2:
+                continue
+            if len(idx) > pair_cap:
+                strided = True
+                idx = idx[:: int(np.ceil(len(idx) / pair_cap))]
+            d = vals[idx][:, None, :] - vals[idx][None, :, :]
+            best = max(best, float(np.mean(np.sqrt(np.sum(d * d, axis=-1)))))
+        out.append(best)
+    return tuple(out), strided
+
+
+def wedge_field(dims):
+    box = unit_box(2)
+    pts = node_mesh(box.lo, box.hi, dims)
+    x, y = pts[..., 0], pts[..., 1]
+    mask = ((y >= 0) & (y <= x) & (x <= 1)) | ((y >= 0) & (y <= -x) & (x >= -1))
+    return GridField(box, dims, np.where(x >= 0, 1.0, -1.0)), mask
+
+
+def rotated_target(u, angle=1.0):
+    c, s = np.cos(angle), np.sin(angle)
+    return GridField(u.box, u.dims, u.values @ np.array([[c, s], [-s, c]]), target=u.target,
+                     singular_mask=u.singular_mask)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["smooth_bump_48", "smooth_bump_48_rotated", "wedge_96_masked", "smooth_bump_96_strided", "radial_3d"],
+)
+def test_mean_oscillation_matches_full_scan(case):
+    """The pruned sup is the full scan's max, bit for bit."""
+    mask = None
+    if case.startswith("smooth_bump_48"):
+        v, radii = builtin_field("smooth_bump", (48, 48)), (0.2, 0.4)
+        if case.endswith("rotated"):
+            v = rotated_target(v)
+    elif case == "wedge_96_masked":
+        (v, mask), radii = wedge_field((96, 96)), (0.1, 0.2, 0.4)
+    elif case == "smooth_bump_96_strided":
+        v, radii = builtin_field("smooth_bump", (96, 96)), (0.4,)
+    else:
+        v, radii = builtin_field("radial", (12, 12, 12)), (0.5, 1.0)
+    want, strided = full_scan_oscillation(v, radii, domain_mask=mask)
+    assert mean_oscillation(v, radii=radii, domain_mask=mask).values == want
+    assert strided == (case in ("wedge_96_masked", "smooth_bump_96_strided", "radial_3d"))
+
+
+def direct_fractional(u, s, p):
+    """The Gagliardo double sum on (block, n, k) difference arrays, unstrided."""
+    pts = u.nodes().reshape(-1, u.m)
+    w = u.weights().reshape(-1)
+    vals = u.values.reshape(-1, u.nu)
+    keep = ~u.excluded_nodes().reshape(-1)
+    pts, w, vals = pts[keep], w[keep], vals[keep]
+    n = len(pts)
+    cutoff = float(np.linalg.norm(u.h))
+    total = 0.0
+    block = max(1, int(2e6 // max(n, 1)))
+    for start in range(0, n, block):
+        sl = slice(start, min(start + block, n))
+        d = pts[sl, None, :] - pts[None, :, :]
+        dist = np.sqrt(np.sum(d * d, axis=-1))
+        dv = np.linalg.norm(vals[sl, None, :] - vals[None, :, :], axis=-1)
+        ok = dist >= cutoff
+        with np.errstate(divide="ignore", invalid="ignore"):
+            integrand = np.where(ok, dv**p / np.where(ok, dist, 1.0) ** (s * p + u.m), 0.0)
+        total += float(np.sum(integrand * w[sl, None] * w[None, :]))
+    return total ** (1.0 / p)
+
+
+@pytest.mark.parametrize("name", ["smooth_bump", "radial"])
+def test_fractional_seminorm_matches_direct_formula(name):
+    u = builtin_field(name, (48, 48))
+    for v in (u, rotated_target(u)):
+        assert fractional_seminorm(v, 0.5, 1.5).value == direct_fractional(v, 0.5, 1.5)

@@ -13,7 +13,7 @@ from scipy.sparse.linalg import cg
 from sobtop import DECSphere3, hopf_linking, hopf_whitehead
 from sobtop.builtins import hopf_fibration, hopf_map
 from sobtop.cli import main
-from sobtop.errors import NonClosedForm, SolverDivergence
+from sobtop.errors import ComputationError, NonClosedForm, SolverDivergence, Undersampled
 from sobtop.fields import SampledSphereMap
 from sobtop.geometry import TriangulatedSphere
 from sobtop.hopf import dec_sphere, whitney_pairing_matrix
@@ -122,6 +122,16 @@ def test_non_closed_form_rejected():
     v = SampledSphereMap(sphere=sph, values=vals)
     with pytest.raises(NonClosedForm):
         hopf_whitehead(v)
+
+
+def test_antipodal_edge_is_undersampled():
+    """At refinement 1 the reversed fibration has edges between antipodal
+    values, whose solid angle is undefined: the map is undersampled, not a
+    non-closed form, and it is still a computational fault (exit code 3)."""
+    with pytest.raises(Undersampled, match="16 edges join antipodal values.*finer refinement") as err:
+        hopf_whitehead(hopf_fibration(1, reverse=True))
+    assert isinstance(err.value, ComputationError)
+    assert abs(hopf_whitehead(hopf_fibration(2, reverse=True)) + 1.0) < 0.5
 
 
 def test_dec_reuse_is_cached():

@@ -246,3 +246,49 @@ def test_jacobian_battery_reports_exclusions():
     pairings, vol = jacobian_battery(u)
     assert len(pairings) == 9
     assert 0.0 < vol < 0.05
+
+
+def reference_grad(form, pts):
+    """TestForm.grad on (n, m) difference arrays reduced over their last axis."""
+    d = pts - np.asarray(form.center)
+    q = np.sum(d * d, axis=-1) / form.radius**2
+    out = np.zeros_like(pts)
+    inside = q < 1.0
+    pref = -form.c * np.exp(-1.0 / (1.0 - q[inside])) / (1.0 - q[inside]) ** 2
+    out[inside] = pref[:, None] * 2.0 * d[inside] / form.radius**2
+    return out
+
+
+def test_jacobian_battery_unchanged_on_radial_448():
+    """The battery's form gradients come from the pairwise-distance kernel; the
+    pairings equal the ones from the last-axis reduction bit for bit."""
+    from sobtop.invariants import _jacobian_flux
+
+    u = builtin_field("radial", (448, 448))
+    forms = form_battery(u.box)
+    pts = u.nodes().reshape(-1, 2)
+    j, excluded = _jacobian_flux(u)
+    wk = u.weights() * (~excluded)
+    want = []
+    for i, form in enumerate(forms):
+        g = reference_grad(form, pts)
+        assert np.array_equal(form.grad(pts), g)
+        g = g.reshape(u.dims + (2,))
+        want.append((i, float(np.sum((j[..., 0] * g[..., 1] - j[..., 1] * g[..., 0]) * wk))))
+    assert jacobian_battery(u, forms)[0] == want
+
+
+def test_oracle_builds_one_battery(monkeypatch):
+    """An obstructed verdict reports the sweep's atoms without building the
+    Jacobian battery a second time."""
+    import sobtop.invariants as inv
+
+    u = builtin_field("dipole", (128, 128))
+    w = maximal_function_detector(u, p=1.5)
+    gammas = standard_disk_boundaries(u.box, ell=1, count=64, seed=0)
+    calls = []
+    battery = inv.jacobian_battery
+    monkeypatch.setattr(inv, "jacobian_battery", lambda *a: calls.append(1) or battery(*a))
+    v = extendability_oracle(u, gammas, w)
+    assert not v.extendable and len(calls) == 1
+    assert v.atoms == cell_degree_sweep(u).atoms
